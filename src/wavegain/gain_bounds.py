@@ -24,6 +24,7 @@ from .freq_response import (
     _sup_gain_many,
     _l2_gain_many,
 )
+from .modal import _decay_rate_array
 
 __all__ = [
     "FrequencySearchConfig",
@@ -172,16 +173,6 @@ def upper_sup(params: DampingParams) -> Optional[float]:
 # shared spike-aware maximization over omega
 # ---------------------------------------------------------------------------
 
-def _mode_decay_rate(params: DampingParams, n: int) -> float:
-    """Slowest decay exponent of mode n; sets the resonance peak width."""
-    npi = n * math.pi
-    k = 0.5 * (params.mu + npi * npi * params.sigma)
-    disc = (k - npi) * (k + npi)
-    if disc > 0.0:
-        return k - math.sqrt(disc)
-    return k
-
-
 def _window_point_count(half_width: float, delta: float) -> int:
     # resolve the Lorentzian-like peak: spacing about a quarter of its width
     raw = int(round(2.0 * half_width / (0.25 * delta))) if delta > 0.0 else 513
@@ -224,7 +215,7 @@ def _spike_search(params, search, evaluate_many, evaluate_one, limit_value):
         if a >= b:
             continue
         count = _window_point_count(
-            search.window_half_width, _mode_decay_rate(params, n))
+            search.window_half_width, float(_decay_rate_array(params, n)))
         window_max = scan(np.linspace(a, b, count))
         if window_max < best_v - search.early_stop_slack:
             stale += 1

@@ -60,6 +60,18 @@ def mode_split(params: DampingParams, n: int):
     return k, None, math.sqrt(-disc), "underdamped"
 
 
+def _decay_rate_array(params: DampingParams, ns) -> np.ndarray:
+    """Slowest decay exponent of each mode: k_n - r_n if overdamped, else k_n.
+
+    Sets the resonance peak width in the spike search and the simulator's
+    default burn-in. Accepts a scalar or an array of mode indices.
+    """
+    npi = np.asarray(ns, dtype=float) * math.pi
+    k = 0.5 * (params.mu + npi * npi * params.sigma)
+    disc = (k - npi) * (k + npi)
+    return np.where(disc > 0.0, k - np.sqrt(np.maximum(disc, 0.0)), k)
+
+
 def _near_critical(k, npi):
     return abs(k - npi) < CRITICAL_RTOL * npi
 

@@ -209,7 +209,8 @@ def test_bound_orderings_and_limits_across_parameter_grid(tmp_path):
 
 def test_outputs_byte_identical_across_runs_and_parallelism(tmp_path):
     """Repeated runs and parallelism degrees 1 and 8 produce byte-identical
-    CSVs for both grid commands."""
+    CSVs for both grid commands; repeated simulations produce byte-identical
+    CSVs and sidecars."""
     bode_args = dict(sigma=1.0, mu=0.3, omega_min=0.5, omega_max=13.0,
                      points=120, scale="linear")
     hashes = []
@@ -226,3 +227,16 @@ def test_outputs_byte_identical_across_runs_and_parallelism(tmp_path):
                              parallel=par) == 0
         hashes.append(sha256_of(out))
     assert hashes[0] == hashes[1] == hashes[2]
+
+    sim_args = dict(t_final=2.0)  # default modes, grid and output step
+    for kind, d in [
+            ("sin", DisturbanceSpec.sinusoid(1.0, 4.0)),
+            ("knots", DisturbanceSpec.piecewise_linear(
+                [(0.0, 0.0), (0.333, 1.0), (1.217, -0.5)]))]:
+        hashes = []
+        for run in ("1", "2"):
+            out = tmp_path / f"sim-{kind}-{run}.csv"
+            assert cli.cmd_simulate(1.0, 0.3, d, str(out), **sim_args) == 0
+            hashes.append((sha256_of(out),
+                           sha256_of(tmp_path / f"sim-{kind}-{run}.json")))
+        assert hashes[0] == hashes[1]

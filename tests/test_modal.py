@@ -10,6 +10,7 @@ import oracles as oc
 from wavegain.freq_response import DampingParams
 from wavegain.modal import (
     DisturbanceSpec,
+    _decay_rate_array,
     initial_modal_state,
     modal_kernel_l1,
     modal_step,
@@ -47,6 +48,23 @@ class TestModeSplit:
             mode_split(DampingParams(1.0, 0.0), 0)
         with pytest.raises(ValueError):
             mode_split(DampingParams(1.0, 0.0), -3)
+
+    def test_decay_rate_matches_scalar_formula_bitwise(self):
+        # the spike search sizes its windows from this rate, so the array
+        # form must reproduce the scalar k - sqrt(k^2 - n^2 pi^2) exactly
+        def scalar_rate(params, n):
+            npi = n * math.pi
+            k = 0.5 * (params.mu + npi * npi * params.sigma)
+            disc = (k - npi) * (k + npi)
+            return k - math.sqrt(disc) if disc > 0.0 else k
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            mu = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
+            p = DampingParams(10.0 ** rng.uniform(-3, 1), mu)
+            rates = _decay_rate_array(p, np.arange(1, 400))
+            assert rates.tolist() == [scalar_rate(p, n) for n in range(1, 400)]
+            assert float(_decay_rate_array(p, 17)) == scalar_rate(p, 17)
 
 
 class TestDisturbanceSpec:

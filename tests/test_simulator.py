@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavegain._numerics import composite_simpson
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.modal import DisturbanceSpec
 from wavegain.simulator import SimConfig, empirical_gain_sweep, simulate
@@ -67,6 +68,30 @@ class TestStaticResponses:
         res = simulate(p, d, cfg)
         assert res.sup_norm[-1] == pytest.approx(1.0, rel=1e-9)
         assert res.l2_norm[-1] == pytest.approx(INV_SQRT3, rel=1e-9)
+
+
+class TestFieldReconstruction:
+    @pytest.mark.parametrize("x_points,n_modes", [
+        (1024, 512),
+        (65, 64),
+        # n_modes > 2 (x_points - 1): modes alias onto the grid and fold
+        (64, 300),
+        (1024, 5000),
+    ])
+    def test_sine_transform_matches_dense_sum(self, x_points, n_modes):
+        # at t=0 with no disturbance the field is the bare sine series of y0
+        rng = np.random.default_rng(x_points + n_modes)
+        y0 = rng.normal(size=n_modes) / np.arange(1, n_modes + 1)
+        cfg = SimConfig(n_modes=n_modes, t_final=0.5, dt_output=0.5,
+                        x_points=x_points)
+        res = simulate(DampingParams(1.0, 0.0), DisturbanceSpec.constant(0.0),
+                       cfg, initial=(y0, np.zeros(n_modes)))
+        xs = np.linspace(0.0, 1.0, x_points)
+        npi = np.arange(1, n_modes + 1) * math.pi
+        u = math.sqrt(2.0) * np.sin(np.outer(xs, npi)) @ y0
+        assert res.sup_norm[0] == pytest.approx(np.abs(u).max(), rel=1e-12)
+        l2 = math.sqrt(composite_simpson(u * u, xs[1] - xs[0]))
+        assert res.l2_norm[0] == pytest.approx(l2, rel=1e-12)
 
 
 class TestSinusoidGains:
