@@ -14,7 +14,6 @@ from .freq_response import (
     DampingParams,
     FrequencyPoint,
     L2ResponseStats,
-    SteadyStateProfile,
     amplitude_at,
     l2_stats_at,
     polar_params,
@@ -39,12 +38,8 @@ from .gain_bounds import (
 )
 from .modal import (
     DisturbanceSpec,
-    ModalState,
-    initial_modal_state,
     modal_kernel_l1,
-    modal_step,
     modal_transfer,
-    mode_split,
 )
 from .simulator import (
     SimConfig,
@@ -66,12 +61,10 @@ __all__ = [
     "InternalConsistencyError",
     "L2LowerBound",
     "L2ResponseStats",
-    "ModalState",
     "ModeConstants",
     "SUITE_NAMES",
     "SimConfig",
     "SimResult",
-    "SteadyStateProfile",
     "SuiteResult",
     "SupLowerBound",
     "SupUpperBoundProblem",
@@ -80,15 +73,12 @@ __all__ = [
     "amplitude_at",
     "empirical_gain_sweep",
     "gain_bounds",
-    "initial_modal_state",
     "l2_stats_at",
     "lower_l2",
     "lower_sup",
     "modal_kernel_l1",
-    "modal_step",
     "modal_transfer",
     "mode_constants",
-    "mode_split",
     "polar_params",
     "profile_at",
     "run_suites",

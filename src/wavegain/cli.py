@@ -1,9 +1,9 @@
 """Command-line interface: bounds, Bode sweeps, mu sweeps, simulation, verify.
 
 Outputs are plain CSV/JSON with shortest round-trip float formatting, byte
-identical across runs and parallelism degrees. Flags override an optional
-key=value config file, which overrides built-in defaults. Exit codes: 0
-success, 1 verification failure, 2 usage or I/O error.
+identical across runs. Flags override an optional key=value config file,
+which overrides built-in defaults. Exit codes: 0 success, 1 verification
+failure, 2 usage, I/O or float-range error.
 
     wavegain bounds --sigma 1 --mu 1 --json
     wavegain bode --sigma 1e-4 --mu 0.05 --omega-min 0.5 --omega-max 13 \
@@ -16,9 +16,7 @@ success, 1 verification failure, 2 usage or I/O error.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .freq_response import DampingParams, sup_gain_at, l2_stats_at
 from .gain_bounds import FrequencySearchConfig, gain_bounds
@@ -29,8 +27,6 @@ from . import verify as verify_mod
 __all__ = ["main", "cmd_bounds", "cmd_bode", "cmd_sweep", "cmd_simulate",
            "cmd_verify"]
 
-PARALLEL_ENV = "WAVEGAIN_PARALLEL"
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -39,27 +35,6 @@ EXIT_USAGE = 2
 def _fmt(x) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(x))
-
-
-def _parallel_map(fn, items, degree):
-    items = list(items)
-    if degree <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    # pure per-item work; order preserved, chunk size fixed so the result
-    # bytes cannot depend on the worker count
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(fn, items, chunksize=16))
-
-
-def _default_parallel() -> int:
-    raw = os.environ.get(PARALLEL_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"{PARALLEL_ENV} must be an integer, got {raw!r}") from None
 
 
 def _read_config(path: str) -> dict:
@@ -160,7 +135,11 @@ def cmd_bounds(sigma, mu, as_json=False, stream=None) -> int:
 
 def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out,
              parallel=1) -> int:
-    """Per-frequency gains on a grid, as CSV (omega ascending)."""
+    """Per-frequency gains on a grid, as CSV (omega ascending).
+
+    parallel is accepted for compatibility and ignored: rows are computed in
+    order on one thread (a GIL-bound thread pool measured slower).
+    """
     params = DampingParams(sigma, mu)
     omegas = _grid(omega_min, omega_max, points, scale)
 
@@ -171,14 +150,14 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out,
                 f"{_fmt(math.log(a))},{_fmt(math.log(q))}")
 
     lines = ["omega,A_sup,Q_l2,ln_A_sup,ln_Q_l2"]
-    lines += _parallel_map(row, omegas, parallel)
+    lines += [row(w) for w in omegas]
     _write_lines(out, lines)
     return EXIT_OK
 
 
 def cmd_sweep(sigma, mu_min, mu_max, points, out, parallel=1,
               search=None) -> int:
-    """Bounds along a mu axis at fixed sigma, as CSV."""
+    """Bounds along a mu axis at fixed sigma, as CSV; parallel is ignored."""
     if points < 2:
         raise ValueError("points must be at least 2")
     if not (0.0 <= mu_min < mu_max):
@@ -197,7 +176,7 @@ def cmd_sweep(sigma, mu_min, mu_max, points, out, parallel=1,
                 f"{_fmt(b.L_2)},{_fmt(float(b.U_2))}")
 
     lines = ["mu,sigma,L_inf,L_inf_conditional,U_inf,L_2,U_2"]
-    lines += _parallel_map(row, mus, parallel)
+    lines += [row(m) for m in mus]
     _write_lines(out, lines)
     return EXIT_OK
 
@@ -296,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--scale", choices=["linear", "log"])
     p.add_argument("--out")
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--parallel", type=int, help="accepted; has no effect")
     add_common(p)
 
     p = sub.add_parser("sweep", help="bounds along a mu axis as CSV")
@@ -305,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", type=float, dest="mu_max")
     p.add_argument("--points", type=int)
     p.add_argument("--out")
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--parallel", type=int, help="accepted; has no effect")
     add_common(p)
 
     p = sub.add_parser("simulate", help="time-domain norms as CSV + JSON")
@@ -373,7 +352,7 @@ def main(argv=None) -> int:
                 "sigma": (float, None), "mu": (float, None),
                 "omega_min": (float, None), "omega_max": (float, None),
                 "points": (int, 1000), "scale": (str, "linear"),
-                "out": (str, None), "parallel": (int, _default_parallel())})
+                "out": (str, None), "parallel": (int, 1)})
             _require(merged, "sigma", "mu", "omega_min", "omega_max", "out")
             if merged["scale"] not in ("linear", "log"):
                 raise ValueError("scale must be linear or log")
@@ -385,7 +364,7 @@ def main(argv=None) -> int:
             merged = _merge(args, {
                 "sigma": (float, None), "mu_min": (float, 0.0),
                 "mu_max": (float, None), "points": (int, 81),
-                "out": (str, None), "parallel": (int, _default_parallel())})
+                "out": (str, None), "parallel": (int, 1)})
             _require(merged, "sigma", "mu_max", "out")
             return cmd_sweep(merged["sigma"], merged["mu_min"],
                              merged["mu_max"], merged["points"],
@@ -410,7 +389,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             merged = _merge(args, {"seed": (int, None)})
             return cmd_verify(seed=merged["seed"], quick=args.quick)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # ArithmeticError: inputs past the float range, e.g. sigma**2
+        # overflowing; InternalConsistencyError is an AssertionError, not this
+        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -24,7 +24,6 @@ from ._numerics import scaled_cosh_minus_cos, refine_local_maxima
 __all__ = [
     "DampingParams",
     "FrequencyPoint",
-    "SteadyStateProfile",
     "L2ResponseStats",
     "polar_params",
     "profile_at",
@@ -153,22 +152,6 @@ def amplitude_at(point: FrequencyPoint, x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-class SteadyStateProfile:
-    """Bundle of the profile evaluators at a fixed frequency point."""
-
-    def __init__(self, point: FrequencyPoint):
-        self.point = point
-
-    def h(self, x):
-        return profile_at(self.point, x)[0]
-
-    def g(self, x):
-        return profile_at(self.point, x)[1]
-
-    def amplitude(self, x):
-        return amplitude_at(self.point, x)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from .freq_response import (
     _sup_gain_many,
     _l2_gain_many,
 )
-from .modal import _decay_rate_array
+from .modal import (
+    _check_mode_index,
+    _decay_rate_array,
+    _mode_table,
+    _near_critical,
+)
 
 __all__ = [
     "FrequencySearchConfig",
@@ -48,7 +53,6 @@ ZETA2 = math.pi * math.pi / 6.0
 
 # A_n excess below this is absorbed into the closed-form series tail.
 _TAIL_EPS = 1e-12
-_CRITICAL_RTOL = 1e-9
 
 
 class InternalConsistencyError(AssertionError):
@@ -307,18 +311,16 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
         return A
     w = math.sqrt(1.0 - musig)
 
-    npi = ns * math.pi
-    k = 0.5 * (mu + npi * npi * sigma)
-    crit = np.abs(k - npi) < _CRITICAL_RTOL * npi
+    npi, k, disc = _mode_table(params, ns)
+    crit = _near_critical(k, npi)
 
     near_plus = crit & (npi * sigma > 1.0)
     if near_plus.any():
         A[near_plus] = 1.0 + 2.0 * w * math.exp(-1.0 - 1.0 / w)
 
-    over = (k > npi) & ~crit & (npi * sigma >= 1.0)
+    over = (disc > 0.0) & ~crit & (npi * sigma >= 1.0)
     if over.any():
-        ko, no = k[over], npi[over]
-        r = np.sqrt((ko - no) * (ko + no))
+        ko, r = k[over], np.sqrt(disc[over])
         P = sigma * (ko + r) - 1.0
         Q = sigma * (ko - r) - 1.0
         pos = Q > 0.0
@@ -327,10 +329,10 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
             (ko[pos] / (2.0 * r[pos])) * np.log(Q[pos] / P[pos]))
         A[over] = vals
 
-    under = (k < npi) & ~crit
+    under = (disc < 0.0) & ~crit
     if under.any():
         ku, nu = k[under], npi[under]
-        wn = np.sqrt((nu - ku) * (nu + ku))
+        wn = np.sqrt(-disc[under])
         c = (2.0 - musig - (nu * sigma) ** 2) / (2.0 * w)
         c = np.clip(c, -1.0, 1.0)  # |c| < 1 holds analytically off criticality
         A[under] = 1.0 + (2.0 * w * np.exp((ku / wn) * (np.arccos(c) - math.pi))
@@ -359,18 +361,14 @@ class ModeConstants:
 
 def mode_constants(params: DampingParams, n: int) -> ModeConstants:
     """Regime split, decay constants and amplification factor of mode n."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode index must be a positive integer, got {n!r}")
-    n = int(n)
-    npi = n * math.pi
-    k = 0.5 * (params.mu + npi * npi * params.sigma)
-    disc = (k - npi) * (k + npi)
+    n = _check_mode_index(n)
+    _, k, disc = map(float, _mode_table(params, n))
     A = float(_amplification_array(params, np.array([n]))[0])
-    if k > npi:
+    if disc > 0.0:
         r = math.sqrt(disc)
         return ModeConstants(n=n, k_n=k, r_n=r, omega_n=None,
                              regime="overdamped", beta_n=k / r, A_n=A)
-    if k == npi:
+    if disc == 0.0:
         return ModeConstants(n=n, k_n=k, r_n=0.0, omega_n=None,
                              regime="critical", beta_n=None, A_n=A)
     return ModeConstants(n=n, k_n=k, r_n=None, omega_n=math.sqrt(-disc),
@@ -402,7 +400,7 @@ class U2Value(float):
 _CHUNK = 1_000_000
 
 
-def upper_l2(params: DampingParams, _unit_factors: bool = False) -> U2Value:
+def upper_l2(params: DampingParams) -> U2Value:
     """Upper bound U_2 = (1/pi) sqrt(2 sum A_n^2/n^2) for the L2 gain.
 
     Exactly 1/sqrt(3) when mu*sigma >= 1 (all A_n = 1 and the series is
@@ -410,8 +408,7 @@ def upper_l2(params: DampingParams, _unit_factors: bool = False) -> U2Value:
     accumulated in fixed chunks until A_n - 1 < 1e-12 past the last
     overdamped-onset index, and the remaining modes contribute through the
     closed-form zeta tail with the envelope A_n <= 1 + 1e-12; the induced
-    error bound is recorded on the result. _unit_factors forces A_n = 1
-    (consistency hook: must reproduce the exact branch bit for bit).
+    error bound is recorded on the result.
     """
     musig = params.mu * params.sigma
     if musig >= 1.0:
@@ -425,8 +422,7 @@ def upper_l2(params: DampingParams, _unit_factors: bool = False) -> U2Value:
     start = 1
     while True:
         ns = np.arange(start, start + _CHUNK, dtype=float)
-        A = (np.ones_like(ns) if _unit_factors
-             else _amplification_array(params, ns))
+        A = _amplification_array(params, ns)
         inv2 = 1.0 / (ns * ns)
         done = (A - 1.0 < _TAIL_EPS) & (ns > n_safe)
         idx = np.argmax(done) if done.any() else None

@@ -4,10 +4,13 @@ Projecting the displacement onto the sine basis sqrt(2)*sin(n*pi*x) turns the
 PDE into decoupled second-order ODEs
     y_n'' + (mu + n^2 pi^2 sigma) y_n' + n^2 pi^2 y_n
         = n pi sqrt(2) (sigma d'(t) + d(t)).
-This module provides the per-mode transfer function, the L1 norm of the
-forced-response kernel (the independent check on the series amplification
-factors), and an exact-in-time stepper for sinusoidal, constant and linear
-boundary forcing.
+Every per-mode quantity starts from one table, _mode_table: n*pi, the half
+damping k_n = (mu + n^2 pi^2 sigma)/2 and the split k_n^2 - n^2 pi^2, whose
+sign gives the regime. On it sit the per-mode transfer function, the L1 norm
+of the forced-response kernel (the independent check on the series
+amplification factors), the decay rates, and the exact stepper: a propagator
+and a particular solution for sinusoidal, constant and linear boundary
+forcing, both evaluated for a whole array of modes at once.
 """
 
 import math
@@ -19,12 +22,9 @@ from ._numerics import adaptive_simpson
 from .freq_response import DampingParams
 
 __all__ = [
-    "ModalState",
     "DisturbanceSpec",
     "modal_transfer",
     "modal_kernel_l1",
-    "modal_step",
-    "mode_split",
     "CRITICAL_RTOL",
 ]
 
@@ -41,23 +41,18 @@ def _check_mode_index(n):
     return int(n)
 
 
-def mode_split(params: DampingParams, n: int):
-    """Half-damping k_n, split r_n or frequency omega_n, and the regime.
+def _mode_table(params: DampingParams, ns):
+    """Per-mode constants (npi, k, disc) for a scalar or array of mode indices.
 
-    Returns (k, r, omega_n, regime) where regime is one of "overdamped",
-    "critical", "underdamped" by exact comparison of k_n with n*pi; exactly
-    one of r, omega_n is non-None (both zero at exact criticality, where r
-    is returned as 0.0 and omega_n is None).
+    npi = n pi, k = (mu + n^2 pi^2 sigma)/2 is the half damping and
+    disc = k^2 - n^2 pi^2, factored for accuracy. disc > 0 is overdamped
+    (split r_n = sqrt(disc)), disc < 0 underdamped (frequency
+    omega_n = sqrt(-disc)) and disc == 0 exactly critical; since k, npi > 0
+    the sign of disc is the sign of k - npi.
     """
-    n = _check_mode_index(n)
-    npi = n * math.pi
+    npi = np.asarray(ns, dtype=float) * math.pi
     k = 0.5 * (params.mu + npi * npi * params.sigma)
-    disc = (k - npi) * (k + npi)  # k^2 - n^2 pi^2, factored for accuracy
-    if k > npi:
-        return k, math.sqrt(disc), None, "overdamped"
-    if k == npi:
-        return k, 0.0, None, "critical"
-    return k, None, math.sqrt(-disc), "underdamped"
+    return npi, k, (k - npi) * (k + npi)
 
 
 def _decay_rate_array(params: DampingParams, ns) -> np.ndarray:
@@ -66,13 +61,12 @@ def _decay_rate_array(params: DampingParams, ns) -> np.ndarray:
     Sets the resonance peak width in the spike search and the simulator's
     default burn-in. Accepts a scalar or an array of mode indices.
     """
-    npi = np.asarray(ns, dtype=float) * math.pi
-    k = 0.5 * (params.mu + npi * npi * params.sigma)
-    disc = (k - npi) * (k + npi)
+    _, k, disc = _mode_table(params, ns)
     return np.where(disc > 0.0, k - np.sqrt(np.maximum(disc, 0.0)), k)
 
 
 def _near_critical(k, npi):
+    """Whether k is within CRITICAL_RTOL of npi; scalars or arrays."""
     return abs(k - npi) < CRITICAL_RTOL * npi
 
 
@@ -172,23 +166,6 @@ class DisturbanceSpec:
             f"step [{t0}, {t1}] is not contained in one linear piece")
 
 
-@dataclass(frozen=True)
-class ModalState:
-    """State of one sine mode.
-
-    y_n is the coefficient sqrt(2)*integral of u(t,x)*sin(n*pi*x); g_n is the
-    zero-state forced-response component (same ODE, g_n(0)=0,
-    g_n_dot(0) = sqrt(2)*n*pi*sigma*d(0)), carried with its own derivative so
-    it can be advanced exactly alongside y_n.
-    """
-
-    n: int
-    y_n: float
-    y_n_dot: float
-    g_n: float = 0.0
-    g_n_dot: float = 0.0
-
-
 # ---------------------------------------------------------------------------
 # transfer function
 # ---------------------------------------------------------------------------
@@ -204,16 +181,13 @@ def modal_transfer(params: DampingParams, n: int, omega: float) -> complex:
     w = float(omega)
     if not (math.isfinite(w) and w > 0.0):
         raise ValueError(f"omega must be a positive real, got {omega!r}")
-    npi = n * math.pi
-    num = SQRT2 * npi * complex(1.0, params.sigma * w)
-    den = complex(npi * npi - w * w, w * (params.mu + npi * npi * params.sigma))
-    return num / den
+    return complex(_transfer_array(params, np.array([n]), w)[0])
 
 
 def _transfer_array(params: DampingParams, ns: np.ndarray, omega: float) -> np.ndarray:
-    npi = np.asarray(ns, dtype=float) * math.pi
+    npi, k, _ = _mode_table(params, ns)
     num = SQRT2 * npi * (1.0 + 1j * params.sigma * omega)
-    den = npi * npi - omega * omega + 1j * omega * (params.mu + npi * npi * params.sigma)
+    den = npi * npi - omega * omega + 1j * omega * (2.0 * k)
     return num / den
 
 
@@ -231,12 +205,9 @@ def _kernel(params: DampingParams, n: int):
     """
     n = _check_mode_index(n)
     sigma = params.sigma
-    npi = n * math.pi
-    k, r, wn, regime = mode_split(params, n)
-    if regime != "critical" and _near_critical(k, npi):
-        regime, r, wn = "critical", 0.0, None
+    npi, k, disc = map(float, _mode_table(params, n))
 
-    if regime == "critical":
+    if _near_critical(k, npi):
         c1 = sigma
         c2 = 1.0 - sigma * k
 
@@ -248,7 +219,8 @@ def _kernel(params: DampingParams, n: int):
             zeros.append(-c1 / c2)
         return K, k, zeros
 
-    if regime == "overdamped":
+    if disc > 0.0:
+        r = math.sqrt(disc)
         cp = sigma * (k + r) - 1.0
         cm = 1.0 - sigma * (k - r)
         pref = npi / (r * SQRT2)
@@ -268,6 +240,7 @@ def _kernel(params: DampingParams, n: int):
 
     # underdamped: prefactor * (sigma wn cos + (1 - sigma k) sin) e^{-k tau}
     # = prefactor * R sin(wn tau + phi) e^{-k tau}
+    wn = math.sqrt(-disc)
     amp = math.hypot(sigma * wn, 1.0 - sigma * k)
     phi = math.atan2(sigma * wn, 1.0 - sigma * k)
     pref = npi * SQRT2 / wn
@@ -308,16 +281,14 @@ def modal_kernel_l1(params: DampingParams, n: int) -> float:
 # exact time stepping
 # ---------------------------------------------------------------------------
 
-def _propagator_arrays(params: DampingParams, ns: np.ndarray, dt: float):
-    """Exact homogeneous-flow matrix entries for an array of modes.
+def _propagator_arrays(table, dt: float):
+    """Exact homogeneous-flow matrix entries for the modes of a _mode_table.
 
     y(t+dt) = P00 y + P01 y'; y'(t+dt) = P10 y + P11 y'. Written with
     nonpositive exponents only; a joint series branch covers near-critical
     modes where sinh(r dt)/r degenerates.
     """
-    npi = np.asarray(ns, dtype=float) * math.pi
-    k = 0.5 * (params.mu + npi * npi * params.sigma)
-    disc = (k - npi) * (k + npi)
+    npi, k, disc = table
     q = disc * dt * dt
     C = np.empty_like(k)
     S = np.empty_like(k)
@@ -351,17 +322,16 @@ def _propagator_arrays(params: DampingParams, ns: np.ndarray, dt: float):
     return p00, p01, p10, p11
 
 
-def _particular_arrays(params: DampingParams, ns: np.ndarray, d: DisturbanceSpec,
-                       t0: float, t1: float):
+def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float):
     """Exact particular solution (y_p, y_p') of each mode at times t0 and t1.
 
-    Supports sinusoid (steady-state response), constant, and forcing that is
-    linear on [t0, t1]. Raises ValueError for unsupported segment shapes.
+    table is the _mode_table of the modes and sigma the Kelvin-Voigt
+    coefficient; H is their _transfer_array at d.omega for a sinusoid (the
+    steady-state response) and unused otherwise. Besides sinusoids, supports
+    constant forcing and forcing that is linear on [t0, t1]; raises
+    ValueError for other segment shapes.
     """
-    ns = np.asarray(ns)
-    npi = ns.astype(float) * math.pi
     if d.kind == "sinusoid":
-        H = _transfer_array(params, ns, d.omega)
         ph0 = np.exp(1j * (d.omega * t0 + d.phase))
         ph1 = np.exp(1j * (d.omega * t1 + d.phase))
         y0 = d.amplitude * (H * ph0).imag
@@ -370,49 +340,7 @@ def _particular_arrays(params: DampingParams, ns: np.ndarray, d: DisturbanceSpec
         v1 = d.amplitude * d.omega * (H * ph1).real
         return (y0, v0), (y1, v1)
     d0, slope = d.linear_piece(t0, t1)
-    k = 0.5 * (params.mu + npi * npi * params.sigma)
+    npi, k, _ = table
     beta = SQRT2 * slope / npi
-    alpha = SQRT2 * (params.sigma * slope + d0) / npi - 2.0 * k * beta / (npi * npi)
+    alpha = SQRT2 * (sigma * slope + d0) / npi - 2.0 * k * beta / (npi * npi)
     return (alpha, beta), (alpha + beta * (t1 - t0), beta)
-
-
-def modal_step(state: ModalState, params: DampingParams, d: DisturbanceSpec,
-               t0: float, dt: float) -> ModalState:
-    """Advance one mode exactly (to rounding) across [t0, t0 + dt].
-
-    The forcing must be a sinusoid, a constant, or linear on the step; a
-    piecewise-linear disturbance whose knots fall inside the step raises
-    ValueError (subdivide at the knots first). No truncation error in time:
-    halving the step and composing reproduces the single step to rounding.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    t1 = t0 + dt
-    ns = np.array([state.n])
-    (yp0, vp0), (yp1, vp1) = _particular_arrays(params, ns, d, t0, t1)
-    p00, p01, p10, p11 = _propagator_arrays(params, ns, dt)
-
-    def advance(y, v):
-        zy = y - yp0[0]
-        zv = v - vp0[0]
-        return (p00[0] * zy + p01[0] * zv + yp1[0],
-                p10[0] * zy + p11[0] * zv + vp1[0])
-
-    y1, v1 = advance(state.y_n, state.y_n_dot)
-    g1, gv1 = advance(state.g_n, state.g_n_dot)
-    return ModalState(n=state.n, y_n=float(y1), y_n_dot=float(v1),
-                      g_n=float(g1), g_n_dot=float(gv1))
-
-
-def initial_modal_state(n: int, params: DampingParams, d: DisturbanceSpec,
-                        y0: float = 0.0, y0_dot: float = 0.0) -> ModalState:
-    """ModalState at t=0 with the forced component correctly seeded.
-
-    The forced response g_n starts from g_n(0) = 0 with slope
-    sqrt(2) n pi sigma d(0) (the kernel value K(0) is the same in all three
-    damping regimes).
-    """
-    n = _check_mode_index(n)
-    g_dot = SQRT2 * n * math.pi * params.sigma * d.value(0.0)
-    return ModalState(n=n, y_n=float(y0), y_n_dot=float(y0_dot),
-                      g_n=0.0, g_n_dot=float(g_dot))

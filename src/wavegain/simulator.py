@@ -21,8 +21,10 @@ from .modal import (
     SQRT2,
     DisturbanceSpec,
     _decay_rate_array,
+    _mode_table,
     _particular_arrays,
     _propagator_arrays,
+    _transfer_array,
 )
 
 __all__ = ["SimConfig", "SimResult", "SweepRow", "simulate", "empirical_gain_sweep"]
@@ -134,7 +136,9 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     """
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
-    npi = ns * math.pi
+    # per-mode constants, and for a sinusoid the transfer, are fixed per run
+    table = _mode_table(params, ns)
+    H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
     y = np.zeros(N)
     v = np.zeros(N)
     if initial is not None:
@@ -150,7 +154,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
 
     xs = np.linspace(0.0, 1.0, config.x_points)
     dx = xs[1] - xs[0]
-    lift_coef = SQRT2 / npi
+    lift_coef = SQRT2 / table[0]
     period = 2 * (config.x_points - 1)
     slots = np.arange(1, N + 1) % period
 
@@ -165,7 +169,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     def propagator(dt):
         hit = prop_cache.get(dt)
         if hit is None:
-            hit = _propagator_arrays(params, ns, dt)
+            hit = _propagator_arrays(table, dt)
             prop_cache[dt] = hit
         return hit
 
@@ -189,7 +193,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
             if dt <= 0.0:
                 continue
             (yp0, vp0), (yp1, vp1) = _particular_arrays(
-                params, ns, d, seg_start, seg_start + dt)
+                table, params.sigma, H, d, seg_start, seg_start + dt)
             p00, p01, p10, p11 = propagator(dt)
             zy = y - yp0
             zv = v - vp0

@@ -27,7 +27,6 @@ gb = importlib.import_module(".gain_bounds", __package__)
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20250401
-INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,11 @@ def _suite_corollaries(rng, quick):
     for sg, m in [(1.0, 1.0), (2.0, 0.6), (0.7, 3.0)]:
         pp = fr.DampingParams(sg, m)
         u2 = gb.upper_l2(pp)
-        if float(u2) != INV_SQRT3:
-            worst = max(worst, abs(float(u2) - INV_SQRT3) * 1e9)
+        if float(u2) != gb.INV_SQRT3:
+            worst = max(worst, abs(float(u2) - gb.INV_SQRT3) * 1e9)
         if quick and (sg, m) != (1.0, 1.0):
             continue
-        worst = max(worst, abs(gb.lower_l2(pp).value - INV_SQRT3))
+        worst = max(worst, abs(gb.lower_l2(pp).value - gb.INV_SQRT3))
     return worst, tol, f"exact-branch values, worst scaled deviation {worst:.2e}"
 
 
@@ -204,7 +203,7 @@ def _suite_orderings(rng, quick):
     for sg, m in zip(sigmas, mus):
         b = gb.gain_bounds(fr.DampingParams(float(sg), float(m)), search)
         worst = max(worst, b.L_2 - float(b.U_2), b.L_2 - b.L_inf,
-                    (INV_SQRT3 - 1e-6) - b.L_2, 1.0 - 1e-9 - b.L_inf)
+                    (gb.INV_SQRT3 - 1e-6) - b.L_2, 1.0 - 1e-9 - b.L_inf)
         if b.U_inf is not None:
             worst = max(worst, b.L_inf - b.U_inf)
     return worst, tol, f"{count} random draws, worst signed violation {worst:.2e}"

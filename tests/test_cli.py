@@ -46,6 +46,13 @@ class TestBounds:
         assert run_main("bounds", "--sigma", "-1", "--mu", "0") == 2
         assert "sigma" in capsys.readouterr().err
 
+    def test_overflowing_parameters_are_usage_error(self, capsys):
+        # sigma**2 overflows in the feasibility test: exit 2, no traceback
+        assert run_main("bounds", "--sigma", "1e300", "--mu", "1e300") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestBode:
     def test_csv_format(self, tmp_path):
@@ -226,26 +233,6 @@ class TestConfigFile:
     def test_missing_file_is_io_error(self):
         assert run_main("bounds", "--config", "/nonexistent/conf",
                         "--sigma", "1", "--mu", "1") == 2
-
-
-class TestParallelEnv:
-    def test_env_sets_default_parallelism(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "seq.csv"
-        out2 = tmp_path / "par.csv"
-        args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "1",
-                "--omega-max", "5", "--points", "40"]
-        monkeypatch.delenv(cli.PARALLEL_ENV, raising=False)
-        assert run_main(*args, "--out", str(out1)) == 0
-        monkeypatch.setenv(cli.PARALLEL_ENV, "8")
-        assert run_main(*args, "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_invalid_env_value_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.PARALLEL_ENV, "many")
-        assert run_main("bode", "--sigma", "1", "--mu", "0",
-                        "--omega-min", "1", "--omega-max", "2",
-                        "--points", "3", "--out", "-") == 2
-        assert cli.PARALLEL_ENV in capsys.readouterr().err
 
 
 class TestArgparseBehavior:

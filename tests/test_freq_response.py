@@ -13,7 +13,6 @@ import pytest
 import oracles as oc
 from wavegain.freq_response import (
     DampingParams,
-    SteadyStateProfile,
     amplitude_at,
     l2_stats_at,
     polar_params,
@@ -138,13 +137,6 @@ class TestProfiles:
             profile_at(pt, -0.1)
         with pytest.raises(ValueError):
             amplitude_at(pt, 1.5)
-
-    def test_bundle_wrapper(self):
-        pt = polar_params(DampingParams(1.0, 0.0), 1.0)
-        prof = SteadyStateProfile(pt)
-        assert prof.h(0.5) == profile_at(pt, 0.5)[0]
-        assert prof.g(0.5) == profile_at(pt, 0.5)[1]
-        assert prof.amplitude(0.5) == amplitude_at(pt, 0.5)
 
     def test_ode_residual_spot_check(self):
         # (1 + i sigma w) v'' = (i mu w - w^2) v via a 7-point stencil

@@ -154,8 +154,9 @@ class TestModeConstants:
         assert over.beta_n is not None and over.omega_n is None
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            mode_constants(DampingParams(1.0, 0.0), 0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError):
+                mode_constants(DampingParams(1.0, 0.0), n)
 
 
 class TestUpperL2:

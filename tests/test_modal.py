@@ -1,4 +1,5 @@
-"""Mode-space layer: transfers, kernels, disturbances, the exact stepper."""
+"""Mode-space layer: the mode table, transfers, kernels, disturbances, the
+exact stepper."""
 
 import cmath
 import math
@@ -8,46 +9,53 @@ import pytest
 
 import oracles as oc
 from wavegain.freq_response import DampingParams
+from wavegain.gain_bounds import mode_constants
 from wavegain.modal import (
     DisturbanceSpec,
     _decay_rate_array,
-    initial_modal_state,
+    _mode_table,
+    _particular_arrays,
+    _propagator_arrays,
+    _transfer_array,
     modal_kernel_l1,
-    modal_step,
     modal_transfer,
-    mode_split,
 )
 
 SQRT2 = math.sqrt(2.0)
 
 
 class TestModeSplit:
+    """The mode table (n pi, k_n, k_n^2 - n^2 pi^2) and the rates read off it."""
+
     def test_regime_classification(self):
         p = DampingParams(0.05, 0.1)
-        k1, r1, w1, reg1 = mode_split(p, 1)
-        assert reg1 == "underdamped" and r1 is None and w1 > 0.0
-        k15, r15, w15, reg15 = mode_split(p, 15)
-        assert reg15 == "overdamped" and r15 > 0.0 and w15 is None
-        assert k1 > 0.0 and k15 > k1
+        one, fifteen = mode_constants(p, 1), mode_constants(p, 15)
+        assert one.regime == "underdamped"
+        assert one.r_n is None and one.omega_n > 0.0
+        assert fifteen.regime == "overdamped"
+        assert fifteen.r_n > 0.0 and fifteen.omega_n is None
+        assert one.k_n > 0.0 and fifteen.k_n > one.k_n
 
     def test_exact_critical_construction(self):
         w = 0.6
-        p = DampingParams((1.0 + w) / math.pi, math.pi * (1.0 - w))
-        k, r, wn, reg = mode_split(p, 1)
-        assert reg == "critical"
-        assert k == pytest.approx(math.pi, rel=1e-12)
+        m = mode_constants(
+            DampingParams((1.0 + w) / math.pi, math.pi * (1.0 - w)), 1)
+        assert m.regime == "critical"
+        assert m.r_n == 0.0 and m.omega_n is None
+        assert m.k_n == pytest.approx(math.pi, rel=1e-12)
 
     def test_half_trace(self):
-        p = DampingParams(0.7, 0.3)
-        k, _, _, _ = mode_split(p, 4)
+        k = mode_constants(DampingParams(0.7, 0.3), 4).k_n
         assert k == pytest.approx(0.5 * (0.3 + 16.0 * math.pi**2 * 0.7),
                                   rel=1e-15)
+        _, k_table, _ = _mode_table(DampingParams(0.7, 0.3), 4)
+        assert float(k_table) == k
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            mode_split(DampingParams(1.0, 0.0), 0)
+            mode_constants(DampingParams(1.0, 0.0), 0)
         with pytest.raises(ValueError):
-            mode_split(DampingParams(1.0, 0.0), -3)
+            mode_constants(DampingParams(1.0, 0.0), -3)
 
     def test_decay_rate_matches_scalar_formula_bitwise(self):
         # the spike search sizes its windows from this rate, so the array
@@ -65,6 +73,20 @@ class TestModeSplit:
             rates = _decay_rate_array(p, np.arange(1, 400))
             assert rates.tolist() == [scalar_rate(p, n) for n in range(1, 400)]
             assert float(_decay_rate_array(p, 17)) == scalar_rate(p, 17)
+
+    def test_transfer_damping_from_table_bitwise(self):
+        # 2 k_n rebuilds mu + n^2 pi^2 sigma exactly, so the transfer built
+        # on the table equals the one written out in full, bit for bit
+        rng = np.random.default_rng(11)
+        ns = np.arange(1, 300)
+        for _ in range(20):
+            p = DampingParams(10.0 ** rng.uniform(-3, 1),
+                              10.0 ** rng.uniform(-3, 3))
+            w = 10.0 ** rng.uniform(-1, 2)
+            npi = ns * math.pi
+            den = npi * npi - w * w + 1j * w * (p.mu + npi * npi * p.sigma)
+            full = SQRT2 * npi * (1.0 + 1j * p.sigma * w) / den
+            assert _transfer_array(p, ns, w).tobytes() == full.tobytes()
 
 
 class TestDisturbanceSpec:
@@ -196,6 +218,15 @@ class TestKernel:
         assert l1 == pytest.approx(expect, rel=1e-9)
 
 
+def _advance(table, sigma, H, d, y, v, t0, dt):
+    """One exact step of every mode in the table: the update simulate uses."""
+    (yp0, vp0), (yp1, vp1) = _particular_arrays(table, sigma, H, d, t0, t0 + dt)
+    p00, p01, p10, p11 = _propagator_arrays(table, dt)
+    zy = y - yp0
+    zv = v - vp0
+    return p00 * zy + p01 * zv + yp1, p10 * zy + p11 * zv + vp1
+
+
 class TestExactStepper:
     REGIMES = [
         (2.0, 1.0, 1),                                     # overdamped
@@ -206,46 +237,54 @@ class TestExactStepper:
 
     @staticmethod
     def _free_reference(sigma, mu, n, y0, v0, t):
-        if abs(mode_split(DampingParams(sigma, mu), n)[0] - n * math.pi) \
+        if abs(_mode_table(DampingParams(sigma, mu), n)[1] - n * math.pi) \
                 < 1e-12 * n * math.pi:
             # perturb off the double root for the two-root reference
             mu = mu + 1e-9
         return oc.free_mode_solution(sigma, mu, n, y0, v0, t)
 
     def test_free_decay_matches_closed_form(self):
+        # the four regimes advance together as one array of modes, each
+        # with its own (sigma, mu)
         zero = DisturbanceSpec.constant(0.0)
-        for sigma, mu, n in self.REGIMES:
-            p = DampingParams(sigma, mu)
-            state = initial_modal_state(n, p, zero, y0=1.0, y0_dot=-0.3)
-            t, dt = 0.0, 0.07
-            for _ in range(10):
-                state = modal_step(state, p, zero, t, dt)
-                t += dt
+        tables = [_mode_table(DampingParams(sigma, mu), [n])
+                  for sigma, mu, n in self.REGIMES]
+        table = tuple(np.concatenate(col) for col in zip(*tables))
+        sigmas = np.array([sigma for sigma, _, _ in self.REGIMES])
+        y, v = np.full(4, 1.0), np.full(4, -0.3)
+        t, dt = 0.0, 0.07
+        for _ in range(10):
+            y, v = _advance(table, sigmas, None, zero, y, v, t, dt)
+            t += dt
+        for i, (sigma, mu, n) in enumerate(self.REGIMES):
             y_ref, v_ref = self._free_reference(sigma, mu, n, 1.0, -0.3, t)
-            assert state.y_n == pytest.approx(y_ref, rel=2e-7, abs=1e-12)
-            assert state.y_n_dot == pytest.approx(v_ref, rel=2e-7, abs=1e-12)
+            assert y[i] == pytest.approx(y_ref, rel=2e-7, abs=1e-12)
+            assert v[i] == pytest.approx(v_ref, rel=2e-7, abs=1e-12)
 
     def test_semigroup_property(self):
         # two half steps must equal one full step to rounding
         zero = DisturbanceSpec.constant(0.0)
         p = DampingParams(0.05, 0.1)
-        s0 = initial_modal_state(1, p, zero, y0=0.7, y0_dot=0.2)
-        one = modal_step(s0, p, zero, 0.0, 0.2)
-        half = modal_step(modal_step(s0, p, zero, 0.0, 0.1), p, zero, 0.1, 0.1)
-        assert half.y_n == pytest.approx(one.y_n, rel=1e-13)
-        assert half.y_n_dot == pytest.approx(one.y_n_dot, rel=1e-13)
+        table = _mode_table(p, [1])
+        y0, v0 = np.array([0.7]), np.array([0.2])
+        one = _advance(table, p.sigma, None, zero, y0, v0, 0.0, 0.2)
+        y1, v1 = _advance(table, p.sigma, None, zero, y0, v0, 0.0, 0.1)
+        half = _advance(table, p.sigma, None, zero, y1, v1, 0.1, 0.1)
+        assert half[0][0] == pytest.approx(one[0][0], rel=1e-13)
+        assert half[1][0] == pytest.approx(one[1][0], rel=1e-13)
 
     def test_tiny_step_series_path(self):
         # dt small enough that the propagator takes its series branch
         zero = DisturbanceSpec.constant(0.0)
         p = DampingParams(1.0, 0.0)
-        state = initial_modal_state(1, p, zero, y0=1.0, y0_dot=0.0)
+        table = _mode_table(p, [1])
+        y, v = np.array([1.0]), np.array([0.0])
         dt = 1e-5
         for i in range(10):
-            state = modal_step(state, p, zero, i * dt, dt)
+            y, v = _advance(table, p.sigma, None, zero, y, v, i * dt, dt)
         y_ref, v_ref = oc.free_mode_solution(1.0, 0.0, 1, 1.0, 0.0, 10 * dt)
-        assert state.y_n == pytest.approx(y_ref, rel=1e-12)
-        assert state.y_n_dot == pytest.approx(v_ref, rel=1e-9)
+        assert y[0] == pytest.approx(y_ref, rel=1e-12)
+        assert v[0] == pytest.approx(v_ref, rel=1e-9)
 
     def test_sinusoid_reaches_transfer_steady_state(self):
         # after the transient dies, y_n(t) = Im(H_n e^{i w t}) exactly;
@@ -254,27 +293,30 @@ class TestExactStepper:
         omega = 2.0
         d = DisturbanceSpec.sinusoid(1.0, omega)
         h = modal_transfer(p, 1, omega)
-        state = initial_modal_state(1, p, d)
+        table = _mode_table(p, [1])
+        H = _transfer_array(p, [1], omega)
+        y, v = np.zeros(1), np.zeros(1)
         t, dt = 0.0, 0.05
         while t < 30.0 - 1e-12:
-            state = modal_step(state, p, d, t, dt)
+            y, v = _advance(table, p.sigma, H, d, y, v, t, dt)
             t += dt
         expect = (h * cmath.exp(1j * omega * t)).imag
-        assert state.y_n == pytest.approx(expect, rel=1e-12)
+        assert y[0] == pytest.approx(expect, rel=1e-12)
 
     def test_constant_forcing_static_limit(self):
-        # held level: mode settles on sqrt(2) d / (n pi)
+        # held level: each mode settles on sqrt(2) d / (n pi)
         p = DampingParams(0.5, 0.3)
         d = DisturbanceSpec.constant(2.0)
-        for n in (1, 2):
-            state = initial_modal_state(n, p, d)
-            t, dt = 0.0, 0.1
-            while t < 20.0 - 1e-12:
-                state = modal_step(state, p, d, t, dt)
-                t += dt
-            assert state.y_n == pytest.approx(SQRT2 * 2.0 / (n * math.pi),
-                                              rel=1e-12)
-            assert abs(state.y_n_dot) < 1e-12
+        table = _mode_table(p, [1, 2])
+        y, v = np.zeros(2), np.zeros(2)
+        t, dt = 0.0, 0.1
+        while t < 20.0 - 1e-12:
+            y, v = _advance(table, p.sigma, None, d, y, v, t, dt)
+            t += dt
+        for i, n in enumerate((1, 2)):
+            assert y[i] == pytest.approx(SQRT2 * 2.0 / (n * math.pi),
+                                         rel=1e-12)
+            assert abs(v[i]) < 1e-12
 
     def test_ramp_tracks_lifted_solution(self):
         # linear d: the mode tracks the moving static coefficient with a
@@ -282,33 +324,16 @@ class TestExactStepper:
         p = DampingParams(1.0, 0.0)
         d = DisturbanceSpec.piecewise_linear([(0.0, 0.0), (30.0, 3.0)])
         n, slope = 1, 0.1
-        state = initial_modal_state(n, p, d)
+        table = _mode_table(p, [n])
+        y, v = np.zeros(1), np.zeros(1)
         t, dt = 0.0, 0.05
         while t < 26.0 - 1e-12:
-            state = modal_step(state, p, d, t, dt)
+            y, v = _advance(table, p.sigma, None, d, y, v, t, dt)
             t += dt
         npi = n * math.pi
         # steady solution of y'' + 2k y' + npi^2 y = sqrt2 npi (sigma m + d)
-        k = mode_split(p, n)[0]
+        k = float(table[1][0])
         expect = SQRT2 * (p.sigma * slope + d.value(t)) / npi \
             - 2.0 * k * SQRT2 * slope / npi**3
-        assert state.y_n == pytest.approx(expect, rel=1e-10)
-        assert state.y_n_dot == pytest.approx(SQRT2 * slope / npi, rel=1e-10)
-
-    def test_step_validation(self):
-        p = DampingParams(1.0, 0.0)
-        d = DisturbanceSpec.constant(0.0)
-        state = initial_modal_state(1, p, d)
-        with pytest.raises(ValueError):
-            modal_step(state, p, d, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            modal_step(state, p, d, 0.0, -0.1)
-
-    def test_initial_state_seeding(self):
-        p = DampingParams(0.7, 0.2)
-        d = DisturbanceSpec.sinusoid(1.5, 2.0, 0.3)
-        s = initial_modal_state(3, p, d)
-        assert s.y_n == 0.0 and s.y_n_dot == 0.0
-        assert s.g_n == 0.0
-        assert s.g_n_dot == pytest.approx(
-            SQRT2 * 3 * math.pi * 0.7 * d.value(0.0), rel=1e-15)
+        assert y[0] == pytest.approx(expect, rel=1e-10)
+        assert v[0] == pytest.approx(SQRT2 * slope / npi, rel=1e-10)
