@@ -44,8 +44,6 @@ from .modal import (
 from .simulator import (
     SimConfig,
     SimResult,
-    SweepRow,
-    empirical_gain_sweep,
     simulate,
 )
 from .verify import SUITE_NAMES, SuiteResult, run_suites
@@ -68,10 +66,8 @@ __all__ = [
     "SuiteResult",
     "SupLowerBound",
     "SupUpperBoundProblem",
-    "SweepRow",
     "U2Value",
     "amplitude_at",
-    "empirical_gain_sweep",
     "gain_bounds",
     "l2_stats_at",
     "lower_l2",

@@ -51,9 +51,6 @@ __all__ = [
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 ZETA2 = math.pi * math.pi / 6.0
 
-# A_n excess below this is absorbed into the closed-form series tail.
-_TAIL_EPS = 1e-12
-
 
 class InternalConsistencyError(AssertionError):
     """A computed set of bounds violated an ordering that must always hold.
@@ -194,6 +191,10 @@ def _spike_search(params, search, evaluate_many, evaluate_one, limit_value):
     """
     lo = search.omega_min
     hi = search.resolved_omega_max(params.sigma)
+    if not math.isfinite(hi):
+        raise ValueError(
+            f"sigma={params.sigma!r} is too small: the search range "
+            f"max(20*pi, 4/sigma) = {hi} is not finite")
     if not (lo < hi):
         raise ValueError(
             f"empty search range [{lo}, {hi}]; set omega_max above omega_min")
@@ -293,9 +294,12 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
     mu*sigma >= 1 makes every kernel one-signed, so A_n = 1 identically.
     For mu*sigma < 1 the closed forms are, with k = (mu + n^2 pi^2 sigma)/2
     and w = sqrt(1 - mu*sigma):
-      overdamped, n*pi*sigma >= 1:  1 + 2w (Q/P)^(k/2r),
-          P = sigma(k+r) - 1, Q = sigma(k-r) - 1 (P*Q = 1 - mu*sigma), and
-          A_n = 1 when Q <= 0;
+      overdamped, n*pi*sigma >= 1:  1 + 2w (Q/P)^(k/2r) = 1 + 2w (w/P)^(k/r),
+          P = sigma(k+r) - 1, Q = sigma(k-r) - 1 = w^2/P (P*Q = 1 - mu*sigma).
+          Q is never formed: sigma(k-r) - 1 cancels once n*pi*sigma >> 1.
+          k > n*pi makes sigma*k > 1, so P > w > Q > 0 and A_n > 1; with
+          k/r >= 1 and sigma*k >= (n pi sigma)^2/2 this gives the envelope
+          A_n - 1 <= 2w^2/P <= 4w^2/((n pi sigma)^2 - 2) that upper_l2 uses;
       overdamped, n*pi*sigma < 1:   1 (kernel one-signed);
       underdamped:  1 + 2w exp((k/omega_n)(arccos(c) - pi))
                         / (1 - exp(-pi k/omega_n)),
@@ -322,12 +326,7 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
     if over.any():
         ko, r = k[over], np.sqrt(disc[over])
         P = sigma * (ko + r) - 1.0
-        Q = sigma * (ko - r) - 1.0
-        pos = Q > 0.0
-        vals = np.ones_like(ko)
-        vals[pos] = 1.0 + 2.0 * w * np.exp(
-            (ko[pos] / (2.0 * r[pos])) * np.log(Q[pos] / P[pos]))
-        A[over] = vals
+        A[over] = 1.0 + 2.0 * w * np.exp((ko / r) * np.log(w / P))
 
     under = (disc < 0.0) & ~crit
     if under.any():
@@ -397,51 +396,47 @@ class U2Value(float):
         return obj
 
 
-_CHUNK = 1_000_000
+# Modes per block of the U_2 sum; keeps its memory independent of sigma.
+_CHUNK = 1 << 16
 
 
 def upper_l2(params: DampingParams) -> U2Value:
     """Upper bound U_2 = (1/pi) sqrt(2 sum A_n^2/n^2) for the L2 gain.
 
     Exactly 1/sqrt(3) when mu*sigma >= 1 (all A_n = 1 and the series is
-    zeta(2)). Otherwise the excess sum D = sum (A_n^2 - 1)/n^2 is
-    accumulated in fixed chunks until A_n - 1 < 1e-12 past the last
-    overdamped-onset index, and the remaining modes contribute through the
-    closed-form zeta tail with the envelope A_n <= 1 + 1e-12; the induced
-    error bound is recorded on the result.
+    zeta(2)). Otherwise U_2 = sqrt(1 + D/zeta(2))/sqrt(3), and the excess
+    D = sum (A_n^2 - 1)/n^2 is summed over n = 1..N for an N fixed in
+    closed form by the inputs.
+
+    Past n0 = 2/(pi sigma) every mode is overdamped with n pi sigma > 2, so
+    the envelope in _amplification_array gives A_n - 1 <= 8w^2/(n pi sigma)^2
+    <= 2w^2 (w^2 = 1 - mu*sigma), hence A_n^2 - 1 <= (2 + 2w^2)(A_n - 1).
+    With sum_{n>N} n^-4 <= 1/(3N^3), the part of D left out past N > n0 is
+    at most 16 w^2 (1 + w^2) / (3 (pi sigma)^2 N^3), and U_2 moves by at
+    most 1/(2 sqrt(3) zeta(2)) times that (the slope of sqrt(1 + D/zeta(2))
+    is at most 1/(2 zeta(2))). That is the recorded truncation_error_bound.
+    N is the smallest integer above n0 that makes it at most 1e-13/sqrt(3)
+    <= 1e-13 U_2, so N grows like sigma^(-2/3). The sum runs in blocks of at
+    most _CHUNK modes.
     """
     musig = params.mu * params.sigma
     if musig >= 1.0:
         return U2Value(INV_SQRT3, truncation_error_bound=0.0, terms=0)
 
-    w = math.sqrt(1.0 - musig)
-    n_safe = (1.0 + w) / (math.pi * params.sigma)  # last possible sign-change onset
+    w2 = 1.0 - musig
+    # truncation_error_bound = tail_coef / N^3
+    tail_coef = (INV_SQRT3 / (2.0 * ZETA2) * 16.0 * w2 * (1.0 + w2)
+                 / (3.0 * (math.pi * params.sigma) ** 2))
+    n_terms = 1 + max(int(2.0 / (math.pi * params.sigma)),
+                      int(np.cbrt(tail_coef / (1e-13 * INV_SQRT3))))
     excess = 0.0
-    harmonic2 = 0.0  # sum of n^-2 over the explicit terms
-    n_terms = 0
-    start = 1
-    while True:
-        ns = np.arange(start, start + _CHUNK, dtype=float)
+    for start in range(1, n_terms + 1, _CHUNK):
+        ns = np.arange(start, min(start + _CHUNK, n_terms + 1), dtype=float)
         A = _amplification_array(params, ns)
-        inv2 = 1.0 / (ns * ns)
-        done = (A - 1.0 < _TAIL_EPS) & (ns > n_safe)
-        idx = np.argmax(done) if done.any() else None
-        if idx is not None:
-            ns, A, inv2 = ns[:idx + 1], A[:idx + 1], inv2[:idx + 1]
-        excess += float((((A - 1.0) * (A + 1.0)) * inv2).sum())
-        harmonic2 += float(inv2.sum())
-        n_terms += ns.size
-        if idx is not None:
-            break
-        start += _CHUNK
-
-    tail = ZETA2 - harmonic2
-    # (1 + eps)^2 - 1 with eps = 1e-12, rounded up
-    tail_excess_bound = tail * 2.000001e-12
+        excess += float(((A - 1.0) * (A + 1.0) / (ns * ns)).sum())
     value = math.sqrt(1.0 + excess / ZETA2) * INV_SQRT3
-    # d/dx sqrt(1 + x/Z) <= 1/(2Z) on x >= 0, so this dominates the error
-    bound = INV_SQRT3 * tail_excess_bound / (2.0 * ZETA2)
-    return U2Value(value, truncation_error_bound=bound, terms=n_terms)
+    return U2Value(value, truncation_error_bound=tail_coef / n_terms ** 3,
+                   terms=n_terms)
 
 
 # ---------------------------------------------------------------------------

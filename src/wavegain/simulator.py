@@ -11,12 +11,14 @@ on the thread count.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._numerics import composite_simpson
-from .freq_response import DampingParams, sup_gain_at, l2_stats_at
+# sup_gain_at and l2_stats_at are unused here but stay importable from this
+# module: bench/spans.py wraps them under this namespace
+from .freq_response import DampingParams, sup_gain_at, l2_stats_at  # noqa: F401
 from .modal import (
     SQRT2,
     DisturbanceSpec,
@@ -27,7 +29,7 @@ from .modal import (
     _transfer_array,
 )
 
-__all__ = ["SimConfig", "SimResult", "SweepRow", "simulate", "empirical_gain_sweep"]
+__all__ = ["SimConfig", "SimResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,9 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     costs O(x_points log x_points + n_modes) instead of O(x_points n_modes).
     The fold adds the modes in index order and numpy's pocketfft runs on one
     thread, so the field is bit-identical from run to run.
+
+    Raises FloatingPointError when a sampled norm is not finite (inputs whose
+    per-mode constants overflow, e.g. sigma = 1e300).
     """
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
@@ -203,6 +208,10 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
         t = t_next
         measure(j + 1, t)
 
+    if not (np.isfinite(sup_norm).all() and np.isfinite(l2_norm).all()):
+        raise FloatingPointError(
+            f"simulated field is not finite for sigma={params.sigma!r}, "
+            f"mu={params.mu!r}: the per-mode constants overflow")
     burn = config.resolved_burn_in(params)
     denom = d.sup_amplitude(config.t_final)
     if denom == 0.0:
@@ -216,39 +225,3 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
                      truncation_tail_estimate=_tail_estimate(params, d, N),
                      burn_in=burn, n_modes=N)
 
-
-class SweepRow(NamedTuple):
-    """One frequency of an empirical-vs-analytic gain comparison."""
-
-    omega: float
-    empirical_gain_sup: float
-    analytic_gain_sup: float
-    rel_err_sup: float
-    empirical_gain_l2: float
-    analytic_gain_l2: float
-    rel_err_l2: float
-
-
-def empirical_gain_sweep(params: DampingParams, omegas,
-                         config: SimConfig) -> list:
-    """simulate a unit sinusoid at each omega and compare with the formulas.
-
-    Returns one SweepRow per input frequency, in input order. Empty input
-    yields an empty list.
-    """
-    rows = []
-    for w in omegas:
-        w = float(w)
-        res = simulate(params, DisturbanceSpec.sinusoid(1.0, w), config)
-        abar = sup_gain_at(params, w)
-        q = l2_stats_at(params, w).Q
-        rows.append(SweepRow(
-            omega=w,
-            empirical_gain_sup=res.empirical_gain_sup,
-            analytic_gain_sup=abar,
-            rel_err_sup=abs(res.empirical_gain_sup - abar) / abar,
-            empirical_gain_l2=res.empirical_gain_l2,
-            analytic_gain_l2=q,
-            rel_err_l2=abs(res.empirical_gain_l2 - q) / q,
-        ))
-    return rows

@@ -133,6 +133,34 @@ def amplification_literal(sigma, mu, n):
         / (1.0 - math.exp(-k * math.pi / wn))
 
 
+def amplification_mp(sigma, mu, n, dps=60):
+    """A_n from the same closed forms as amplification_literal, in mpmath.
+
+    At dps digits the cancellation in sigma (k - r) - 1 (about 2 log10(n)
+    digits at n pi sigma >> 1) leaves ample precision; sigma and mu are
+    taken as the exact binary values of the floats. Exactly critical modes
+    are not handled.
+    """
+    with mp.workdps(dps):
+        s, m = mp.mpf(sigma), mp.mpf(mu)
+        if m * s >= 1:
+            return mp.mpf(1)
+        npi = n * mp.pi
+        k = (m + npi**2 * s) / 2
+        w = mp.sqrt(1 - m * s)
+        disc = k * k - npi * npi
+        if disc > 0:
+            r = mp.sqrt(disc)
+            q = s * (k - r) - 1
+            if q <= 0:
+                return mp.mpf(1)
+            return 1 + 2 * w * (q / (s * (k + r) - 1))**(k / (2 * r))
+        wn = mp.sqrt(-disc)
+        c = (2 - m * s - (npi * s)**2) / (2 * w)
+        return 1 + 2 * w * mp.exp((k / wn) * (mp.acos(c) - mp.pi)) \
+            / (1 - mp.exp(-mp.pi * k / wn))
+
+
 # ---------------------------------------------------------------------------
 # forcing kernel of one mode, via the complex characteristic roots
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import wavegain
 # retired names, by the module that used to export them
 REMOVED = {
     "wavegain": ("ModalState", "modal_step", "initial_modal_state",
-                 "mode_split", "SteadyStateProfile"),
+                 "mode_split", "SteadyStateProfile", "SweepRow",
+                 "empirical_gain_sweep"),
     "wavegain.modal": ("ModalState", "modal_step", "initial_modal_state",
                        "mode_split"),
     "wavegain.freq_response": ("SteadyStateProfile",),
+    "wavegain.simulator": ("SweepRow", "empirical_gain_sweep"),
     "wavegain.cli": ("PARALLEL_ENV", "ThreadPoolExecutor"),
 }
 

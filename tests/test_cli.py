@@ -53,6 +53,12 @@ class TestBounds:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_tiny_sigma_is_usage_error(self, capsys):
+        # 4/sigma overflows the default search range
+        assert run_main("bounds", "--sigma", "5e-324", "--mu", "0") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sigma=5e-324 is too small")
+
 
 class TestBode:
     def test_csv_format(self, tmp_path):
@@ -186,6 +192,15 @@ class TestSimulate:
         base = ["simulate", "--sigma", "1", "--mu", "0", "--out", "-"]
         assert run_main(*base) == 2
         assert run_main(*base, "--omega", "1", "--constant", "2") == 2
+
+    def test_overflowing_parameters_are_usage_error(self, tmp_path, capsys):
+        # the per-mode constants overflow: exit 2 before anything is written
+        out = tmp_path / "sim.csv"
+        assert run_main("simulate", "--sigma", "1e300", "--mu", "0",
+                        "--omega", "1", "--t-final", "0.1",
+                        "--out", str(out)) == 2
+        assert "FloatingPointError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_knots_usage_error(self, capsys):
         assert run_main("simulate", "--sigma", "1", "--mu", "0",

@@ -9,14 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles as oc
 from wavegain.freq_response import DampingParams
 from wavegain.gain_bounds import (
+    ZETA2,
     FrequencySearchConfig,
     InternalConsistencyError,
     SupUpperBoundProblem,
     U2Value,
+    _amplification_array,
     gain_bounds,
     lower_l2,
     lower_sup,
@@ -104,6 +107,17 @@ class TestModeConstants:
                 lit = oc.amplification_literal(sigma, mu, n)
                 assert got == pytest.approx(lit, rel=1e-9), (sigma, mu, n)
 
+    def test_matches_mpmath_to_large_index(self):
+        # every regime, up to n = 1e6 where the overdamped ratio Q/P is
+        # ~1e-26 and Q = sigma(k-r) - 1 would cancel in floating point
+        ns = np.unique(np.round(np.geomspace(1, 1e6, 60)))
+        for sigma, mu in [(1.0, 0.0), (0.05, 0.1), (0.3, 1.2), (2.0, 0.2),
+                          (0.02, 20.0), (0.15, 2.0), (10.0, 0.05)]:
+            got = _amplification_array(DampingParams(sigma, mu), ns)
+            for n, a in zip(ns, got):
+                ref = oc.amplification_mp(sigma, mu, int(n))
+                assert abs(a - ref) <= 1e-13 * ref, (sigma, mu, n)
+
     def test_unit_when_damping_product_large(self):
         for n in (1, 2, 50):
             assert mode_constants(DampingParams(1.0, 1.0), n).A_n == 1.0
@@ -180,6 +194,28 @@ class TestUpperL2:
             assert float(u) == pytest.approx(expect, rel=1e-7), (sigma, mu)
             assert u.truncation_error_bound < 1e-12 * float(u)
             assert u.terms > 0
+
+    def test_truncation_bound_covers_longer_sum(self):
+        # the recorded bound dominates what 19 N further modes add
+        for sigma, mu in [(1.0, 0.0), (0.05, 0.1)]:
+            p = DampingParams(sigma, mu)
+            u = upper_l2(p)
+            excess = 0.0
+            for start in range(1, 20 * u.terms + 1, 1 << 18):
+                ns = np.arange(start, min(start + (1 << 18), 20 * u.terms + 1),
+                               dtype=float)
+                a = _amplification_array(p, ns)
+                excess += float(((a * a - 1.0) / (ns * ns)).sum())
+            longer = math.sqrt(1.0 + excess / ZETA2) * INV_SQRT3
+            assert abs(float(u) - longer) <= u.truncation_error_bound, sigma
+
+    @given(log_sigma=st.floats(-2.0, 1.0),
+           damping_product=st.floats(0.0, 1.0, exclude_max=True))
+    def test_bound_holds_over_parameter_range(self, log_sigma, damping_product):
+        sigma = 10.0 ** log_sigma
+        u = upper_l2(DampingParams(sigma, damping_product / sigma))
+        assert math.isfinite(u) and u >= INV_SQRT3
+        assert u.truncation_error_bound <= 1e-13 * u
 
     def test_within_literal_series_interval(self):
         for sigma, mu in [(1.0, 0.0), (0.05, 0.1)]:
