@@ -133,13 +133,8 @@ def cmd_bounds(sigma, mu, as_json=False, stream=None) -> int:
     return EXIT_OK
 
 
-def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out,
-             parallel=1) -> int:
-    """Per-frequency gains on a grid, as CSV (omega ascending).
-
-    parallel is accepted for compatibility and ignored: rows are computed in
-    order on one thread (a GIL-bound thread pool measured slower).
-    """
+def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
+    """Per-frequency gains on a grid, as CSV (omega ascending)."""
     params = DampingParams(sigma, mu)
     omegas = _grid(omega_min, omega_max, points, scale)
 
@@ -155,9 +150,8 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out,
     return EXIT_OK
 
 
-def cmd_sweep(sigma, mu_min, mu_max, points, out, parallel=1,
-              search=None) -> int:
-    """Bounds along a mu axis at fixed sigma, as CSV; parallel is ignored."""
+def cmd_sweep(sigma, mu_min, mu_max, points, out, search=None) -> int:
+    """Bounds along a mu axis at fixed sigma, as CSV."""
     if points < 2:
         raise ValueError("points must be at least 2")
     if not (0.0 <= mu_min < mu_max):
@@ -275,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--scale", choices=["linear", "log"])
     p.add_argument("--out")
-    p.add_argument("--parallel", type=int, help="accepted; has no effect")
     add_common(p)
 
     p = sub.add_parser("sweep", help="bounds along a mu axis as CSV")
@@ -284,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", type=float, dest="mu_max")
     p.add_argument("--points", type=int)
     p.add_argument("--out")
-    p.add_argument("--parallel", type=int, help="accepted; has no effect")
     add_common(p)
 
     p = sub.add_parser("simulate", help="time-domain norms as CSV + JSON")
@@ -352,23 +344,23 @@ def main(argv=None) -> int:
                 "sigma": (float, None), "mu": (float, None),
                 "omega_min": (float, None), "omega_max": (float, None),
                 "points": (int, 1000), "scale": (str, "linear"),
-                "out": (str, None), "parallel": (int, 1)})
+                "out": (str, None)})
             _require(merged, "sigma", "mu", "omega_min", "omega_max", "out")
             if merged["scale"] not in ("linear", "log"):
                 raise ValueError("scale must be linear or log")
             return cmd_bode(merged["sigma"], merged["mu"], merged["omega_min"],
                             merged["omega_max"], merged["points"],
-                            merged["scale"], merged["out"], merged["parallel"])
+                            merged["scale"], merged["out"])
 
         if args.command == "sweep":
             merged = _merge(args, {
                 "sigma": (float, None), "mu_min": (float, 0.0),
                 "mu_max": (float, None), "points": (int, 81),
-                "out": (str, None), "parallel": (int, 1)})
+                "out": (str, None)})
             _require(merged, "sigma", "mu_max", "out")
             return cmd_sweep(merged["sigma"], merged["mu_min"],
                              merged["mu_max"], merged["points"],
-                             merged["out"], merged["parallel"])
+                             merged["out"])
 
         if args.command == "simulate":
             merged = _merge(args, {

@@ -70,42 +70,37 @@ def _feasible(params: DampingParams) -> bool:
 # frequency search configuration
 # ---------------------------------------------------------------------------
 
+# Fixed search constants; FrequencySearchConfig says what each one sets.
+OMEGA_MIN = 1e-3
+WINDOW_HALF_WIDTH = 0.5
+REFINE_TOL = 1e-8
+STALE_WINDOWS = 5
+
+
 @dataclass(frozen=True)
 class FrequencySearchConfig:
     """Search strategy for maximizing a gain curve over omega.
 
-    The curve is sampled on a logarithmic base grid over
-    [omega_min, omega_max] plus dense linear windows of the given half-width
-    around each multiple of pi (the resonant spikes sit near those); every
-    grid-local maximum is refined by golden section to refine_tol. Window
-    scanning stops early after early_stop_windows consecutive windows whose
-    maxima fall below the running best minus early_stop_slack.
+    The curve is sampled on a logarithmic grid of base_points over
+    [OMEGA_MIN, omega_max] plus dense linear windows of half-width
+    WINDOW_HALF_WIDTH around each multiple of pi (the resonant spikes sit
+    near those); every grid-local maximum is refined by golden section to
+    REFINE_TOL. Window scanning stops after STALE_WINDOWS (five) windows in
+    a row that do not raise the best.
 
     omega_max = None resolves to max(20*pi, 4/sigma).
     """
 
-    omega_min: float = 1e-3
     omega_max: Optional[float] = None
     base_points: int = 256
-    window_half_width: float = 0.5
-    refine_tol: float = 1e-8
-    early_stop_windows: int = 5
-    early_stop_slack: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_min) and self.omega_min > 0.0):
-            raise ValueError(f"omega_min must be positive, got {self.omega_min!r}")
-        if self.omega_max is not None and not (self.omega_max > self.omega_min):
+        if self.omega_max is not None and not (self.omega_max > OMEGA_MIN):
             raise ValueError(
-                f"omega_max must exceed omega_min, got {self.omega_max!r}")
+                f"omega_max must exceed omega_min={OMEGA_MIN}, "
+                f"got {self.omega_max!r}")
         if self.base_points < 2:
             raise ValueError("base_points must be at least 2")
-        if not (self.window_half_width > 0.0):
-            raise ValueError("window_half_width must be positive")
-        if not (self.refine_tol > 0.0):
-            raise ValueError("refine_tol must be positive")
-        if self.early_stop_windows < 1:
-            raise ValueError("early_stop_windows must be at least 1")
 
     def resolved_omega_max(self, sigma: float) -> float:
         if self.omega_max is not None:
@@ -174,9 +169,10 @@ def upper_sup(params: DampingParams) -> Optional[float]:
 # shared spike-aware maximization over omega
 # ---------------------------------------------------------------------------
 
-def _window_point_count(half_width: float, delta: float) -> int:
+def _window_point_count(delta: float) -> int:
     # resolve the Lorentzian-like peak: spacing about a quarter of its width
-    raw = int(round(2.0 * half_width / (0.25 * delta))) if delta > 0.0 else 513
+    raw = (int(round(2.0 * WINDOW_HALF_WIDTH / (0.25 * delta)))
+           if delta > 0.0 else 513)
     count = min(513, max(33, raw))
     return count + 1 if count % 2 == 0 else count
 
@@ -187,47 +183,46 @@ def _spike_search(params, search, evaluate_many, evaluate_one, limit_value):
     Returns (best_value, best_omega); best_omega = 0.0 marks the omega -> 0
     limit candidate, which is seeded first so exact ties resolve to it.
     Deterministic: fixed grids, left-to-right refinement, strict-improvement
-    updates (ties keep the smaller omega).
+    updates (ties keep the smaller omega). The window scan stops after
+    STALE_WINDOWS windows in a row that do not raise the best, by the same
+    strict test that accepts a candidate; on a curve that never rises above
+    its omega -> 0 limit that is the first five windows.
     """
-    lo = search.omega_min
     hi = search.resolved_omega_max(params.sigma)
     if not math.isfinite(hi):
         raise ValueError(
             f"sigma={params.sigma!r} is too small: the search range "
             f"max(20*pi, 4/sigma) = {hi} is not finite")
-    if not (lo < hi):
-        raise ValueError(
-            f"empty search range [{lo}, {hi}]; set omega_max above omega_min")
 
     best_w, best_v = 0.0, float(limit_value)
 
-    def scan(xs):
+    def scan(xs) -> bool:
+        """Refine the grid maxima of xs; True if that raised the best."""
         nonlocal best_w, best_v
         vals = np.asarray(evaluate_many(params, xs), dtype=float)
         w, v = refine_local_maxima(
-            lambda x: evaluate_one(params, x), xs, vals, tol=search.refine_tol)
+            lambda x: evaluate_one(params, x), xs, vals, tol=REFINE_TOL)
         if v > best_v:
             best_w, best_v = w, v
-        return float(vals.max())
+            return True
+        return False
 
-    scan(np.geomspace(lo, hi, search.base_points))
+    scan(np.geomspace(OMEGA_MIN, hi, search.base_points))
 
     stale = 0
     for n in range(1, math.ceil(hi / math.pi) + 1):
         center = n * math.pi
-        a = max(lo, center - search.window_half_width)
-        b = min(hi, center + search.window_half_width)
+        a = max(OMEGA_MIN, center - WINDOW_HALF_WIDTH)
+        b = min(hi, center + WINDOW_HALF_WIDTH)
         if a >= b:
             continue
-        count = _window_point_count(
-            search.window_half_width, float(_decay_rate_array(params, n)))
-        window_max = scan(np.linspace(a, b, count))
-        if window_max < best_v - search.early_stop_slack:
-            stale += 1
-            if stale >= search.early_stop_windows:
-                break
-        else:
+        count = _window_point_count(float(_decay_rate_array(params, n)))
+        if scan(np.linspace(a, b, count)):
             stale = 0
+        else:
+            stale += 1
+            if stale >= STALE_WINDOWS:
+                break
     return best_v, best_w
 
 

@@ -119,6 +119,12 @@ def _segment_breaks(d: DisturbanceSpec, t0: float, t1: float):
     return tuple(t for t, _ in d.knots if t0 < t < t1)
 
 
+def _not_finite(params: DampingParams) -> FloatingPointError:
+    return FloatingPointError(
+        f"simulated field is not finite for sigma={params.sigma!r}, "
+        f"mu={params.mu!r}: the per-mode constants overflow")
+
+
 def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
              initial: Optional[Sequence] = None) -> SimResult:
     """Run the modal simulation and measure the empirical gains.
@@ -136,13 +142,17 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     The fold adds the modes in index order and numpy's pocketfft runs on one
     thread, so the field is bit-identical from run to run.
 
-    Raises FloatingPointError when a sampled norm is not finite (inputs whose
-    per-mode constants overflow, e.g. sigma = 1e300).
+    Raises FloatingPointError before any stepping when the per-mode
+    constants overflow (e.g. sigma = 1e300), and after the run when a sampled
+    norm is not finite.
     """
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
     # per-mode constants, and for a sinusoid the transfer, are fixed per run
-    table = _mode_table(params, ns)
+    with np.errstate(over="ignore"):
+        table = _mode_table(params, ns)
+    if not np.isfinite(table[2]).all():
+        raise _not_finite(params)
     H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
     y = np.zeros(N)
     v = np.zeros(N)
@@ -209,9 +219,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
         measure(j + 1, t)
 
     if not (np.isfinite(sup_norm).all() and np.isfinite(l2_norm).all()):
-        raise FloatingPointError(
-            f"simulated field is not finite for sigma={params.sigma!r}, "
-            f"mu={params.mu!r}: the per-mode constants overflow")
+        raise _not_finite(params)
     burn = config.resolved_burn_in(params)
     denom = d.sup_amplitude(config.t_final)
     if denom == 0.0:

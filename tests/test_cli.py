@@ -100,16 +100,27 @@ class TestBode:
                         "--points", "4", "--out", "-") == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_identical_across_runs_and_parallelism(self, tmp_path):
+    def test_identical_across_runs(self, tmp_path):
         args = ["bode", "--sigma", "1e-4", "--mu", "0.05",
                 "--omega-min", "0.5", "--omega-max", "13",
                 "--points", "200"]
         payloads = []
-        for name, par in [("a", "1"), ("b", "1"), ("c", "8")]:
+        for name in ("a", "b", "c"):
             out = tmp_path / f"{name}.csv"
-            assert run_main(*args, "--out", str(out), "--parallel", par) == 0
+            assert run_main(*args, "--out", str(out)) == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_parallel_option_is_gone(self, tmp_path, capsys):
+        args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "0.5",
+                "--omega-max", "13", "--points", "4", "--out", "-"]
+        with pytest.raises(SystemExit) as exc:
+            run_main(*args, "--parallel", "2")
+        assert exc.value.code == 2
+        cfg = tmp_path / "bode.cfg"
+        cfg.write_text("parallel = 2\n")
+        assert run_main(*args, "--config", str(cfg)) == 2
+        assert "unknown config keys: ['parallel']" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -199,7 +210,20 @@ class TestSimulate:
         assert run_main("simulate", "--sigma", "1e300", "--mu", "0",
                         "--omega", "1", "--t-final", "0.1",
                         "--out", str(out)) == 2
-        assert "FloatingPointError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: FloatingPointError: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        # numpy prints its warnings to the real stderr of a fresh process
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegain", "simulate", "--sigma", "1e300",
+             "--mu", "0", "--omega", "1", "--t-final", "0.1",
+             "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_knots_usage_error(self, capsys):

@@ -5,6 +5,8 @@ quadrature routes in oracles.py; mode amplification constants additionally
 against 25-digit quadrature of the forcing kernels.
 """
 
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as oc
+from wavegain._numerics import refine_local_maxima
 from wavegain.freq_response import DampingParams
 from wavegain.gain_bounds import (
     ZETA2,
@@ -283,16 +286,31 @@ class TestLowerBounds:
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
-            FrequencySearchConfig(omega_min=-1.0)
-        with pytest.raises(ValueError):
-            FrequencySearchConfig(omega_min=2.0, omega_max=1.0)
+            FrequencySearchConfig(omega_max=1e-4)  # below the fixed omega_min
         with pytest.raises(ValueError):
             FrequencySearchConfig(base_points=1)
 
+    def test_search_config_fields(self):
+        assert [f.name for f in dataclasses.fields(FrequencySearchConfig)] \
+            == ["omega_max", "base_points"]
+
+    def test_flat_curve_stops_after_five_windows(self, monkeypatch):
+        # at sigma = 1, mu = 0 the sup gain stays at its omega -> 0 limit 1:
+        # the base grid, then five windows that do not raise the best
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return refine_local_maxima(*args, **kwargs)
+
+        module = importlib.import_module("wavegain.gain_bounds")
+        monkeypatch.setattr(module, "refine_local_maxima", counting)
+        assert lower_sup(DampingParams(1.0, 0.0))[:2] == (1.0, 0.0)
+        assert len(calls) <= 1 + 5
+
     def test_search_range_override(self):
         # limit value is still a valid lower bound with a tiny range
-        search = FrequencySearchConfig(omega_min=0.5, omega_max=1.0,
-                                       base_points=16)
+        search = FrequencySearchConfig(omega_max=1.0, base_points=16)
         r = lower_l2(DampingParams(1.0, 1.0), search)
         assert r.value >= INV_SQRT3 - 1e-12
 
