@@ -3,7 +3,9 @@
 Outputs are plain CSV/JSON with shortest round-trip float formatting, byte
 identical across runs. Flags override an optional key=value config file,
 which overrides built-in defaults. Exit codes: 0 success, 1 verification
-failure, 2 usage, I/O or float-range error.
+failure, 2 usage, I/O or float-range error, 3 internal error (a computed
+set of bounds broke an ordering that must hold: a bug, reported as one
+`error: internal: ...` line).
 
     wavegain bounds --sigma 1 --mu 1 --json
     wavegain bode --sigma 1e-4 --mu 0.05 --omega-min 0.5 --omega-max 13 \
@@ -18,8 +20,9 @@ import json
 import math
 import sys
 
-from .freq_response import DampingParams, sup_gain_at, l2_stats_at
-from .gain_bounds import FrequencySearchConfig, gain_bounds
+from .freq_response import DampingParams, sup_gain_at, l2_stats_at, _l2_gain_many
+from .gain_bounds import (FrequencySearchConfig, InternalConsistencyError,
+                          gain_bounds)
 from .modal import DisturbanceSpec
 from .simulator import SimConfig, simulate
 from . import verify as verify_mod
@@ -30,6 +33,7 @@ __all__ = ["main", "cmd_bounds", "cmd_bode", "cmd_sweep", "cmd_simulate",
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _fmt(x) -> str:
@@ -137,15 +141,15 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
     """Per-frequency gains on a grid, as CSV (omega ascending)."""
     params = DampingParams(sigma, mu)
     omegas = _grid(omega_min, omega_max, points, scale)
+    sups = sup_gain_at(params, omegas)
+    l2s = _l2_gain_many(params, omegas)
 
-    def row(w):
-        a = sup_gain_at(params, w)
-        q = l2_stats_at(params, w).Q
+    def row(w, a, q):
         return (f"{_fmt(w)},{_fmt(a)},{_fmt(q)},"
                 f"{_fmt(math.log(a))},{_fmt(math.log(q))}")
 
     lines = ["omega,A_sup,Q_l2,ln_A_sup,ln_Q_l2"]
-    lines += [row(w) for w in omegas]
+    lines += [row(w, a, q) for w, a, q in zip(omegas, sups, l2s)]
     _write_lines(out, lines)
     return EXIT_OK
 
@@ -383,8 +387,11 @@ def main(argv=None) -> int:
             return cmd_verify(seed=merged["seed"], quick=args.quick)
     except (ValueError, OSError, ArithmeticError) as exc:
         # ArithmeticError: inputs past the float range, e.g. sigma**2
-        # overflowing; InternalConsistencyError is an AssertionError, not this
+        # overflowing
         kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalConsistencyError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from ._numerics import scaled_cosh_minus_cos, refine_local_maxima
+from ._numerics import scaled_cosh_minus_cos
 
 __all__ = [
     "DampingParams",
@@ -158,41 +158,177 @@ def amplitude_at(point: FrequencyPoint, x):
 # sup-norm gain Abar(omega)
 # ---------------------------------------------------------------------------
 
+# Elements per 2-D (omega x x) block of the sup-gain grid: each temporary
+# stays at 2^13 doubles (64 KB) unless a single row is longer.
+_BLOCK = 1 << 13
+# Safety cap on the lockstep Newton loop; the most passes measured is 7.
+_NEWTON_MAX_ITER = 64
+
+
+def _pow2_length(*arrays):
+    """1-D arrays of one length n >= 1, resized to the next power of two by
+    repeating entries; callers reduce or slice the copies away.
+
+    numpy keeps freed buffers under 1 KB for reuse, per exact byte size, so
+    temporaries whose length varies from call to call (bracket counts, bode
+    row counts) would each pin a set of buffers: about 1 MB over a thousand
+    bode calls. Power-of-two lengths bound that set.
+    """
+    size = 1 << (arrays[0].size - 1).bit_length()
+    return [np.resize(x, size) for x in arrays]
+
+
 def _sup_objective(a, b, x):
-    """(cosh(2ax) - cos(2bx)) / (cosh(2a) - cos(2b)), written scale-free."""
-    num = scaled_cosh_minus_cos(2.0 * a * x, 2.0 * b * x)
+    """(cosh(2ax) - cos(2bx)) / (cosh(2a) - cos(2b)), written scale-free.
+
+    exp(-2a(1-x)) * scaled_cosh_minus_cos(2ax, 2bx) / scaled(2a, 2b), with
+    the numerator's operations done in place: a block of the grid then needs
+    three temporaries of its size, not ten.
+    """
     den = scaled_cosh_minus_cos(2.0 * a, 2.0 * b)
-    return np.exp(-2.0 * a * (1.0 - x)) * num / den
+    em = np.multiply(2.0 * a, x)
+    np.expm1(np.negative(em, out=em), out=em)     # expm1(-2ax)
+    s = np.multiply(2.0 * b, x)
+    np.sin(np.multiply(s, 0.5, out=s), out=s)     # sin(bx)
+    out = np.multiply(0.5, em)
+    out *= em
+    em += 1.0
+    em *= 2.0
+    em *= s
+    em *= s
+    out += em                                     # scaled(2ax, 2bx)
+    np.subtract(1.0, x, out=em)
+    em *= -2.0 * a
+    out *= np.exp(em, out=em)
+    out /= den
+    return out
 
 
-def sup_gain_at(params: DampingParams, omega: float) -> float:
+def _stationarity(a, b, x):
+    """exp(-2ax) * (g(x), g'(x)) for g = a sinh(2ax) + b sin(2bx)."""
+    e = np.exp(-2.0 * a * x)
+    g = -0.5 * a * np.expm1(-4.0 * a * x) + b * e * np.sin(2.0 * b * x)
+    dg = a * a * (1.0 + e * e) + 2.0 * b * b * e * np.cos(2.0 * b * x)
+    return g, dg
+
+
+def _newton_roots(a, b, lo, hi, x):
+    """Roots of g in the brackets [lo, hi], all refined in lockstep.
+
+    An entry with g(lo) > 0 > g(hi) starts at x and takes the Newton step
+    x - g/g' when it lands strictly inside its bracket, else bisects; the
+    bracket shrinks to the iterate on the side of its sign. It freezes once
+    its own Newton step is at most 1e-15*|x|, before the bracket test can
+    bisect a converged iterate away. Any other entry is frozen at x from the
+    start. Entries never interact, so a root does not depend on what else is
+    in the batch. Returns (roots, passes).
+    """
+    g_lo, _ = _stationarity(a, b, lo)
+    g_hi, _ = _stationarity(a, b, hi)
+    frozen = ~((g_lo > 0.0) & (g_hi < 0.0))
+    passes = 0
+    while passes < _NEWTON_MAX_ITER and not frozen.all():
+        passes += 1
+        g, dg = _stationarity(a, b, x)
+        pos = g > 0.0
+        lo = np.where(pos, x, lo)
+        hi = np.where(pos, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = g / dg
+        frozen |= np.abs(step) <= 1e-15 * np.abs(x)
+        nxt = x - step
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        x = np.where(frozen, x, nxt)
+    return x, passes
+
+
+def _grid_peaks(a, b, x_lo, m, rows, best):
+    """Sample rows on np.linspace(x_lo, 1, m+1); store each row's grid
+    maximum in best and return (row, lo, hi, x0) of every grid-local maximum.
+    The block's temporaries are freed on return."""
+    xs = np.linspace(x_lo[rows], 1.0, m + 1, axis=1)
+    fs = _sup_objective(a[rows, None], b[rows, None], xs)
+    best[rows] = fs.max(axis=1)
+    peak = np.empty(fs.shape, dtype=bool)
+    peak[:, 0] = True
+    peak[:, 1:] = fs[:, 1:] >= fs[:, :-1]
+    peak[:, :-1] &= fs[:, :-1] > fs[:, 1:]
+    r, c = np.nonzero(peak)
+    return (rows[r], xs[r, np.maximum(c - 1, 0)], xs[r, np.minimum(c + 1, m)],
+            xs[r, c])
+
+
+def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
+    """Abar over a 1-D array of frequencies with mu*sigma < 1.
+
+    Each row is sampled on np.linspace(x_lo, 1, n+1); rows with the same n
+    are evaluated together in blocks of about _BLOCK elements. Every
+    grid-local maximum (the left/right rule of refine_local_maxima) gives a
+    bracket [x_(i-1), x_(i+1)], and all brackets of all rows are refined
+    together by _newton_roots on the stationarity condition below.
+
+    The objective F(x) = (cosh(2ax) - cos(2bx)) / (cosh(2a) - cos(2b)) has
+    F'(x) = 2 g(x) / (cosh(2a) - cos(2b)) with
+        g(x)  = a sinh(2ax) + b sin(2bx),
+        g'(x) = 2a^2 cosh(2ax) + 2b^2 cos(2bx),
+    so F rises where g > 0 and a maximum is a root where g goes from + to -.
+    Both are evaluated times exp(-2ax): a sinh(2ax) e^(-2ax) =
+    -a expm1(-4ax)/2 and 2a^2 cosh(2ax) e^(-2ax) = a^2 (1 + e^(-4ax)), which
+    cannot overflow; the Newton step g/g' is unchanged by the common factor.
+    A bracket with g(lo) > 0 > g(hi) holds the maximum; one where g does not
+    change sign has F monotone on it, so its maximum is at an end and the
+    grid value stands. A row's value is the larger of its grid maximum and
+    F at its roots, so it is never below the grid.
+    """
+    _, _, a, b = _polar_arrays(params.sigma, params.mu, w)
+    # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
+    # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)
+    x_lo = 1.0 - 20.0 / np.maximum(a, 20.0)
+    n = np.maximum(1024, 32 * np.ceil(b * (1.0 - x_lo) / math.pi).astype(np.int64))
+    best = np.empty_like(a)
+    found = []  # per block: (row, lo, hi, x0) of every grid-local maximum
+    order = np.argsort(n, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(n[order])) + 1):
+        m = int(n[group[0]])
+        per_block = max(1, _BLOCK // (m + 1))
+        for s in range(0, group.size, per_block):
+            rows = group[s:s + per_block]
+            found.append(_grid_peaks(a, b, x_lo, m, rows, best))
+    row, lo, hi, x0 = _pow2_length(*(np.concatenate(p) for p in zip(*found)))
+    ar, br = a[row], b[row]
+    roots, _ = _newton_roots(ar, br, lo, hi, x0)
+    np.maximum.at(best, row, _sup_objective(ar, br, roots))
+    return np.maximum(1.0, np.sqrt(best))
+
+
+def sup_gain_at(params: DampingParams, omega):
     """Per-frequency sup-norm gain Abar(omega) = max_x A(x) >= 1.
+
+    Accepts a scalar or a 1-D array of frequencies; returns a float for a
+    scalar and an array otherwise. Raises ValueError unless every omega is a
+    positive finite real.
 
     For mu*sigma >= 1 the objective is strictly increasing in x
     (a >= b there, and a*sinh(2ax) >= 2a^2 x >= 2b^2 x >= b*|sin(2bx)|), so
     the maximum sits at x=1 with value exactly 1. Otherwise the maximum is
     located on a dense grid (16 points per oscillation lobe, at least 1024)
-    and polished by golden-section refinement to 1e-10 in x. When a >= 20
-    the exp(-2a(1-x)) factor confines the maximum to x > 1 - 20/a (the rest
-    of [0,1] is below 4e-40 of the x=1 value), so only that window is
-    searched.
+    and polished by bracketed Newton on its stationarity condition (see
+    _sup_gain_rows). Each value depends only on its own omega: an array call
+    equals the one-element calls bit for bit.
     """
-    point = polar_params(params, omega)
-    if params.mu * params.sigma >= 1.0:
-        return 1.0
-    a, b = point.a, point.b
-    x_lo = 0.0 if a < 20.0 else 1.0 - 20.0 / a
-    n = max(1024, 32 * int(math.ceil(b * (1.0 - x_lo) / math.pi)))
-    xs = np.linspace(x_lo, 1.0, n + 1)
-    fs = _sup_objective(a, b, xs)
-    _, best = refine_local_maxima(lambda x: _sup_objective(a, b, x), xs, fs,
-                                  tol=1e-10)
-    return max(1.0, math.sqrt(best))
-
-
-def _sup_gain_many(params: DampingParams, omegas) -> np.ndarray:
-    """sup_gain_at over an array of frequencies (simple deterministic loop)."""
-    return np.array([sup_gain_at(params, w) for w in np.asarray(omegas, dtype=float)])
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1:
+        raise ValueError("omega must be a scalar or a 1-D array")
+    wv = np.atleast_1d(w)
+    if wv.size and not (wv.min() > 0.0 and math.isfinite(wv.max())):
+        bad = wv[~(np.isfinite(wv) & (wv > 0.0))]
+        raise ValueError(
+            f"omega must be a positive real, got {float(bad[0])!r}")
+    if params.mu * params.sigma >= 1.0 or wv.size == 0:
+        out = np.ones_like(wv)
+    else:
+        out = _sup_gain_rows(params, wv)
+    return float(out[0]) if w.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +491,10 @@ def l2_stats_at(params: DampingParams, omega: float) -> L2ResponseStats:
 
 
 def _l2_gain_many(params: DampingParams, omegas) -> np.ndarray:
-    """Q(omega) over an array of frequencies, vectorized."""
+    """Q(omega) over a scalar or an array of frequencies, vectorized; equal
+    bit for bit to l2_stats_at(params, omega).Q."""
     w = np.asarray(omegas, dtype=float)
-    _, _, a, b = _polar_arrays(params.sigma, params.mu, w)
+    (padded,) = _pow2_length(w.ravel())
+    _, _, a, b = _polar_arrays(params.sigma, params.mu, padded)
     p, _, _, M = _l2_quantities(a, b)
-    return np.sqrt(p + np.sqrt(np.maximum(M, 0.0)))
+    return np.sqrt(p + np.sqrt(np.maximum(M, 0.0)))[:w.size].reshape(w.shape)

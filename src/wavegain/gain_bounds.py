@@ -17,13 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._numerics import refine_local_maxima
-from .freq_response import (
-    DampingParams,
-    sup_gain_at,
-    l2_stats_at,
-    _sup_gain_many,
-    _l2_gain_many,
-)
+from .freq_response import DampingParams, sup_gain_at, _l2_gain_many
 from .modal import (
     _check_mode_index,
     _decay_rate_array,
@@ -95,9 +89,10 @@ class FrequencySearchConfig:
     base_points: int = 256
 
     def __post_init__(self):
-        if self.omega_max is not None and not (self.omega_max > OMEGA_MIN):
+        if self.omega_max is not None and not (
+                math.isfinite(self.omega_max) and self.omega_max > OMEGA_MIN):
             raise ValueError(
-                f"omega_max must exceed omega_min={OMEGA_MIN}, "
+                f"omega_max must be finite and exceed omega_min={OMEGA_MIN}, "
                 f"got {self.omega_max!r}")
         if self.base_points < 2:
             raise ValueError("base_points must be at least 2")
@@ -177,8 +172,12 @@ def _window_point_count(delta: float) -> int:
     return count + 1 if count % 2 == 0 else count
 
 
-def _spike_search(params, search, evaluate_many, evaluate_one, limit_value):
+def _spike_search(params, search, evaluate, limit_value):
     """Maximize a gain curve: log base grid + windows at multiples of pi.
+
+    evaluate(params, omega) takes a scalar or a 1-D array of frequencies; it
+    gives each scan's values and every golden-section probe of the omega
+    refinement.
 
     Returns (best_value, best_omega); best_omega = 0.0 marks the omega -> 0
     limit candidate, which is seeded first so exact ties resolve to it.
@@ -199,9 +198,9 @@ def _spike_search(params, search, evaluate_many, evaluate_one, limit_value):
     def scan(xs) -> bool:
         """Refine the grid maxima of xs; True if that raised the best."""
         nonlocal best_w, best_v
-        vals = np.asarray(evaluate_many(params, xs), dtype=float)
+        vals = np.asarray(evaluate(params, xs), dtype=float)
         w, v = refine_local_maxima(
-            lambda x: evaluate_one(params, x), xs, vals, tol=REFINE_TOL)
+            lambda x: float(evaluate(params, x)), xs, vals, tol=REFINE_TOL)
         if v > best_v:
             best_w, best_v = w, v
             return True
@@ -255,13 +254,9 @@ def lower_sup(params: DampingParams,
     """
     search = search or FrequencySearchConfig()
     value, argmax = _spike_search(
-        params, search, _sup_gain_many, sup_gain_at, limit_value=1.0)
+        params, search, sup_gain_at, limit_value=1.0)
     return SupLowerBound(value=value, argmax_omega=argmax,
                          conditional=not _feasible(params))
-
-
-def _l2_gain_one(params: DampingParams, omega: float) -> float:
-    return l2_stats_at(params, omega).Q
 
 
 def lower_l2(params: DampingParams,
@@ -273,7 +268,7 @@ def lower_l2(params: DampingParams,
     """
     search = search or FrequencySearchConfig()
     value, argmax = _spike_search(
-        params, search, _l2_gain_many, _l2_gain_one, limit_value=INV_SQRT3)
+        params, search, _l2_gain_many, limit_value=INV_SQRT3)
     return L2LowerBound(value=value, argmax_omega=argmax)
 
 

@@ -12,7 +12,8 @@ REMOVED = {
                  "empirical_gain_sweep"),
     "wavegain.modal": ("ModalState", "modal_step", "initial_modal_state",
                        "mode_split"),
-    "wavegain.freq_response": ("SteadyStateProfile",),
+    "wavegain.freq_response": ("SteadyStateProfile", "_sup_gain_many"),
+    "wavegain.gain_bounds": ("_l2_gain_one",),
     "wavegain.simulator": ("SweepRow", "empirical_gain_sweep"),
     "wavegain.cli": ("PARALLEL_ENV", "ThreadPoolExecutor"),
 }

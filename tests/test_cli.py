@@ -10,6 +10,7 @@ import pytest
 
 from wavegain import cli
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
+from wavegain.gain_bounds import InternalConsistencyError
 from wavegain.modal import DisturbanceSpec
 
 
@@ -52,6 +53,15 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def broken(params, search=None):
+            raise InternalConsistencyError("L_2=2 exceeds U_2=1")
+
+        monkeypatch.setattr(cli, "gain_bounds", broken)
+        assert run_main("bounds", "--sigma", "1", "--mu", "0") == 3
+        err = capsys.readouterr().err
+        assert err == "error: internal: L_2=2 exceeds U_2=1\n"
 
     def test_tiny_sigma_is_usage_error(self, capsys):
         # 4/sigma overflows the default search range

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
+import wavegain.freq_response as fr
 from wavegain.freq_response import (
     DampingParams,
     amplitude_at,
@@ -21,6 +23,20 @@ from wavegain.freq_response import (
 )
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
+
+
+@st.composite
+def sup_gain_cases(draw):
+    """(sigma, mu, omegas, order, split): one parameter pair, 1-5 frequencies,
+    a permutation of them and a place to cut the permuted array."""
+    sigma = 10.0 ** draw(st.floats(-5.0, 1.0))
+    musig = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999),
+                           st.floats(1.0, 3.0)))
+    omegas = draw(st.lists(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+                           min_size=1, max_size=5))
+    order = draw(st.permutations(range(len(omegas))))
+    split = draw(st.integers(0, len(omegas)))
+    return sigma, musig / sigma, omegas, order, split
 
 
 class TestDampingParams:
@@ -187,6 +203,56 @@ class TestSupGain:
             brute = oc.mp_sup_gain(sigma, mu, omega, n=4001)
             assert pkg >= brute - 1e-9 * brute  # refined max beats any grid
             assert pkg == pytest.approx(brute, rel=1e-6)
+
+    @settings(max_examples=25)
+    @example((1e-5, 0.0, [1389.5, 3.0], [1, 0], 1))   # n = 14176 > 1024
+    @example((1.0, 0.0, [2000.0, 0.5], [0, 1], 1))    # a >= 20: x window
+    @example((1.0, 2.0, [5.0, 0.01], [1, 0], 0))      # mu*sigma >= 1
+    @given(sup_gain_cases())
+    def test_array_call_matches_scalar_calls_and_oracle(self, case):
+        sigma, mu, omegas, order, split = case
+        p = DampingParams(sigma, mu)
+        whole = sup_gain_at(p, np.array(omegas))
+        single = np.array([sup_gain_at(p, w) for w in omegas])
+        shuffled = np.array(omegas)[order]
+        parts = np.concatenate([sup_gain_at(p, shuffled[:split]),
+                                sup_gain_at(p, shuffled[split:])])
+        assert whole.tobytes() == single.tobytes()
+        assert parts.tobytes() == whole[order].tobytes()
+        assert np.all(np.isfinite(whole)) and np.all(whole >= 1.0)
+        if mu * sigma < 1.0:  # otherwise exactly 1, the oracle's x=0 value
+            for w, v in zip(omegas, whole):
+                brute = oc.mp_sup_gain(sigma, mu, w, n=1025)
+                assert v >= brute * (1.0 - 1e-15)
+
+    def test_newton_pass_budget(self, monkeypatch):
+        # every lockstep Newton call converges within 8 passes over
+        # sigma in [1e-5, 10] and omega in [1e-3, 1e4]
+        passes = []
+        newton = fr._newton_roots
+
+        def counting(*args):
+            roots, count = newton(*args)
+            passes.append(count)
+            return roots, count
+
+        monkeypatch.setattr(fr, "_newton_roots", counting)
+        omegas = np.geomspace(1e-3, 1e4, 200)
+        for sigma in (1e-5, 3e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+            for mu in (0.0, 0.1, 2.0):
+                sup_gain_at(DampingParams(sigma, mu), omegas)
+        assert len(passes) == 21 and max(passes) >= 4
+        assert max(passes) <= 8
+
+    def test_frequency_validation(self):
+        p = DampingParams(0.1, 0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="omega"):
+                sup_gain_at(p, bad)
+        with pytest.raises(ValueError, match="omega"):
+            sup_gain_at(DampingParams(1.0, 1.0), [2.0, 0.0])
+        assert isinstance(sup_gain_at(p, 2.0), float)
+        assert sup_gain_at(p, [2.0, 3.0]).shape == (2,)
 
     def test_large_frequency_still_fast_and_sane(self):
         # huge a: the search window must collapse to the boundary layer

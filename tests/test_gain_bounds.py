@@ -287,6 +287,9 @@ class TestLowerBounds:
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
             FrequencySearchConfig(omega_max=1e-4)  # below the fixed omega_min
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega_max"):
+                FrequencySearchConfig(omega_max=bad)
         with pytest.raises(ValueError):
             FrequencySearchConfig(base_points=1)
 
