@@ -39,7 +39,6 @@ from .gain_bounds import (
 from .modal import (
     DisturbanceSpec,
     modal_kernel_l1,
-    modal_transfer,
 )
 from .simulator import (
     SimConfig,
@@ -73,7 +72,6 @@ __all__ = [
     "lower_l2",
     "lower_sup",
     "modal_kernel_l1",
-    "modal_transfer",
     "mode_constants",
     "polar_params",
     "profile_at",

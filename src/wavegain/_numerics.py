@@ -57,32 +57,33 @@ def golden_max(f, lo, hi, tol=1e-10, max_iter=200):
     return best[1], best[0]
 
 
+def grid_local_maxima(fs):
+    """Mask of the samples along the last axis that are >= their left and >
+    their right neighbour (ends included): a flat run counts at its right
+    edge."""
+    peak = np.empty(fs.shape, dtype=bool)
+    peak[..., 0] = True
+    peak[..., 1:] = fs[..., 1:] >= fs[..., :-1]
+    peak[..., :-1] &= fs[..., :-1] > fs[..., 1:]
+    return peak
+
+
 def refine_local_maxima(f, xs, fs, tol=1e-10):
     """Refine every grid-local maximum of sampled values by golden section.
 
     xs, fs: 1-D arrays of grid points (increasing) and f values. Each grid
-    local maximum (including endpoints) is refined on its bracket of
-    neighbouring grid points; a flat run of equal values counts once, at its
-    right edge. Returns (x_best, f_best) with value ties between separate
-    maxima broken toward smaller x.
+    local maximum (grid_local_maxima, endpoints included) is refined on its
+    bracket of neighbouring grid points. Returns (x_best, f_best) with value
+    ties between separate maxima broken toward smaller x.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    n = xs.size
-    if n == 1:
-        return float(xs[0]), float(fs[0])
-    left = np.empty(n, dtype=bool)
-    right = np.empty(n, dtype=bool)
-    left[0] = True
-    left[1:] = fs[1:] >= fs[:-1]
-    right[-1] = True
-    right[:-1] = fs[:-1] > fs[1:]
-    idx = np.nonzero(left & right)[0]
+    idx = np.nonzero(grid_local_maxima(fs))[0]
     best_x = float(xs[0])
     best_f = -math.inf
     for i in idx:
         lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n - 1)]
+        hi = xs[min(i + 1, xs.size - 1)]
         if hi - lo <= tol:
             x, fx = float(xs[i]), float(fs[i])
         else:

@@ -20,7 +20,9 @@ import json
 import math
 import sys
 
-from .freq_response import DampingParams, sup_gain_at, l2_stats_at, _l2_gain_many
+import numpy as np
+
+from .freq_response import DampingParams, sup_gain_at, l2_stats_at
 from .gain_bounds import (FrequencySearchConfig, InternalConsistencyError,
                           gain_bounds)
 from .modal import DisturbanceSpec
@@ -98,6 +100,19 @@ def _grid(lo: float, hi: float, points: int, scale: str):
     return xs
 
 
+def _frequency_gains(params, omegas):
+    """(sup gains, L2 gains) at a list of frequencies; ValueError naming the
+    first omega where one is not finite (omega^2 overflows past ~1.3e154)."""
+    with np.errstate(all="ignore"):  # checked below
+        sups = sup_gain_at(params, omegas)
+        l2s = l2_stats_at(params, omegas).Q
+    bad = ~(np.isfinite(sups) & np.isfinite(l2s))
+    if bad.any():
+        w = np.asarray(omegas)[bad][0]
+        raise ValueError(f"the gains at omega={_fmt(w)} are not finite")
+    return sups, l2s
+
+
 def _write_lines(path: str, lines):
     text = "\n".join(lines) + "\n"
     if path == "-":
@@ -141,8 +156,7 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
     """Per-frequency gains on a grid, as CSV (omega ascending)."""
     params = DampingParams(sigma, mu)
     omegas = _grid(omega_min, omega_max, points, scale)
-    sups = sup_gain_at(params, omegas)
-    l2s = _l2_gain_many(params, omegas)
+    sups, l2s = _frequency_gains(params, omegas)
 
     def row(w, a, q):
         return (f"{_fmt(w)},{_fmt(a)},{_fmt(q)},"
@@ -190,6 +204,10 @@ def cmd_simulate(sigma, mu, disturbance, out, n_modes=512, t_final=40.0,
     config = SimConfig(n_modes=n_modes, t_final=t_final, dt_output=dt_output,
                        x_points=x_points, burn_in=burn_in)
     res = simulate(params, disturbance, config)
+    analytic = (disturbance.kind == "sinusoid"
+                and res.empirical_gain_sup is not None)
+    if analytic:
+        (a,), (q,) = _frequency_gains(params, [disturbance.omega])
 
     lines = ["t,sup_norm,l2_norm"]
     lines += [f"{_fmt(t)},{_fmt(s)},{_fmt(l)}"
@@ -214,9 +232,7 @@ def cmd_simulate(sigma, mu, disturbance, out, n_modes=512, t_final=40.0,
         "empirical_gain_l2": res.empirical_gain_l2,
         "truncation_tail_estimate": res.truncation_tail_estimate,
     }
-    if disturbance.kind == "sinusoid" and res.empirical_gain_sup is not None:
-        a = sup_gain_at(params, disturbance.omega)
-        q = l2_stats_at(params, disturbance.omega).Q
+    if analytic:
         payload["analytic_gain_sup"] = a
         payload["analytic_gain_l2"] = q
         payload["rel_err_sup"] = abs(res.empirical_gain_sup - a) / a

@@ -9,17 +9,16 @@ gain Abar(omega) = max_x A(x) and the per-frequency L2 gain Q(omega).
 
 All evaluators are overflow-safe (the common exp(2a) scale is cancelled
 analytically; cosh(2a) alone would overflow for 2a > ~710) and
-cancellation-safe (a joint Taylor branch takes over for small a, b where the
-closed forms lose all significant digits).
+cancellation-safe (power series in lambda^2 take over from the L2 closed
+forms below |lambda| = 0.5, where those would cancel).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
-from ._numerics import scaled_cosh_minus_cos
+from ._numerics import grid_local_maxima, scaled_cosh_minus_cos
 
 __all__ = [
     "DampingParams",
@@ -87,17 +86,29 @@ def _polar_arrays(sigma, mu, omega):
     return r, theta, a, b
 
 
+def _check_omega(omega):
+    """(omega as a 1-D float array, whether it was a scalar); ValueError
+    unless omega is a scalar or 1-D array of positive finite reals."""
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1:
+        raise ValueError("omega must be a scalar or a 1-D array")
+    wv = np.atleast_1d(w)
+    if wv.size and not (wv.min() > 0.0 and math.isfinite(wv.max())):
+        bad = wv[~(np.isfinite(wv) & (wv > 0.0))]
+        raise ValueError(
+            f"omega must be a positive real, got {float(bad[0])!r}")
+    return wv, w.ndim == 0
+
+
 def polar_params(params: DampingParams, omega: float) -> FrequencyPoint:
     """Characteristic root parameters (r, theta, a, b) at frequency omega.
 
     Raises ValueError unless omega is a positive finite real.
     """
-    w = float(omega)
-    if not (math.isfinite(w) and w > 0.0):
-        raise ValueError(f"omega must be a positive real, got {omega!r}")
-    r, theta, a, b = _polar_arrays(params.sigma, params.mu, np.array([w]))
-    return FrequencyPoint(omega=w, r=float(r[0]), theta=float(theta[0]),
-                          a=float(a[0]), b=float(b[0]))
+    wv, _ = _check_omega(float(omega))
+    r, theta, a, b = _polar_arrays(params.sigma, params.mu, wv)
+    return FrequencyPoint(omega=float(wv[0]), r=float(r[0]),
+                          theta=float(theta[0]), a=float(a[0]), b=float(b[0]))
 
 
 def _check_x(x):
@@ -131,27 +142,18 @@ def profile_at(point: FrequencyPoint, x):
     scale = np.exp(-a * xv) / denom
     h = 0.5 * scale * (one_m_p * one_m_a * cq * cb + one_p_p * one_p_a * sq * sb)
     g = 0.5 * scale * (one_p_p * one_m_a * sq * cb - one_m_p * one_p_a * cq * sb)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(h), float(g)
-    return h, g
+    return (float(h), float(g)) if xv.ndim == 0 else (h, g)
 
 
 def amplitude_at(point: FrequencyPoint, x):
     """Pointwise amplitude A(x) = sqrt(h(x)^2 + g(x)^2) of the response.
 
-    Evaluated from the closed amplitude form
-    A^2 = (cosh(2a(1-x)) - cos(2b(1-x))) / (cosh(2a) - cos(2b))
-    as exp(-2ax) * scaled(2a(1-x), 2b(1-x)) / scaled(2a, 2b), so it neither
-    overflows for large a nor cancels for small arguments.
+    A^2 = (cosh(2a(1-x)) - cos(2b(1-x))) / (cosh(2a) - cos(2b)) is the
+    sup-gain objective at 1 - x, written scale-free (see _sup_objective).
     """
     xv = _check_x(x)
-    a, b = point.a, point.b
-    num = scaled_cosh_minus_cos(2.0 * a * (1.0 - xv), 2.0 * b * (1.0 - xv))
-    den = scaled_cosh_minus_cos(2.0 * a, 2.0 * b)
-    out = np.sqrt(np.exp(-2.0 * a * xv) * num / den)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = np.sqrt(_sup_objective(point.a, point.b, 1.0 - np.atleast_1d(xv)))
+    return float(out[0]) if xv.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +168,16 @@ _NEWTON_MAX_ITER = 64
 
 
 def _pow2_length(*arrays):
-    """1-D arrays of one length n >= 1, resized to the next power of two by
-    repeating entries; callers reduce or slice the copies away.
+    """1-D arrays of one length, resized to the next power of two (0 stays
+    0) by repeating entries; callers reduce or slice the copies away.
 
     numpy keeps freed buffers under 1 KB for reuse, per exact byte size, so
     temporaries whose length varies from call to call (bracket counts, bode
     row counts) would each pin a set of buffers: about 1 MB over a thousand
     bode calls. Power-of-two lengths bound that set.
     """
-    size = 1 << (arrays[0].size - 1).bit_length()
+    n = arrays[0].size
+    size = 1 << (n - 1).bit_length() if n else 0
     return [np.resize(x, size) for x in arrays]
 
 
@@ -249,11 +252,7 @@ def _grid_peaks(a, b, x_lo, m, rows, best):
     xs = np.linspace(x_lo[rows], 1.0, m + 1, axis=1)
     fs = _sup_objective(a[rows, None], b[rows, None], xs)
     best[rows] = fs.max(axis=1)
-    peak = np.empty(fs.shape, dtype=bool)
-    peak[:, 0] = True
-    peak[:, 1:] = fs[:, 1:] >= fs[:, :-1]
-    peak[:, :-1] &= fs[:, :-1] > fs[:, 1:]
-    r, c = np.nonzero(peak)
+    r, c = np.nonzero(grid_local_maxima(fs))
     return (rows[r], xs[r, np.maximum(c - 1, 0)], xs[r, np.minimum(c + 1, m)],
             xs[r, c])
 
@@ -263,9 +262,9 @@ def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
 
     Each row is sampled on np.linspace(x_lo, 1, n+1); rows with the same n
     are evaluated together in blocks of about _BLOCK elements. Every
-    grid-local maximum (the left/right rule of refine_local_maxima) gives a
-    bracket [x_(i-1), x_(i+1)], and all brackets of all rows are refined
-    together by _newton_roots on the stationarity condition below.
+    grid-local maximum (grid_local_maxima) gives a bracket
+    [x_(i-1), x_(i+1)], and all brackets of all rows are refined together by
+    _newton_roots on the stationarity condition below.
 
     The objective F(x) = (cosh(2ax) - cos(2bx)) / (cosh(2a) - cos(2b)) has
     F'(x) = 2 g(x) / (cosh(2a) - cos(2b)) with
@@ -316,19 +315,12 @@ def sup_gain_at(params: DampingParams, omega):
     _sup_gain_rows). Each value depends only on its own omega: an array call
     equals the one-element calls bit for bit.
     """
-    w = np.asarray(omega, dtype=float)
-    if w.ndim > 1:
-        raise ValueError("omega must be a scalar or a 1-D array")
-    wv = np.atleast_1d(w)
-    if wv.size and not (wv.min() > 0.0 and math.isfinite(wv.max())):
-        bad = wv[~(np.isfinite(wv) & (wv > 0.0))]
-        raise ValueError(
-            f"omega must be a positive real, got {float(bad[0])!r}")
+    wv, scalar = _check_omega(omega)
     if params.mu * params.sigma >= 1.0 or wv.size == 0:
         out = np.ones_like(wv)
     else:
         out = _sup_gain_rows(params, wv)
-    return float(out[0]) if w.ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +331,8 @@ def sup_gain_at(params: DampingParams, omega):
 class L2ResponseStats:
     """Time statistics of the squared L2 norm of the periodic response.
 
-    The squared norm oscillates as p + q1*cos(2wt) + q2*sin(2wt); its peak is
-    p + sqrt(q1^2 + q2^2) and M is the closed form of q1^2 + q2^2. Q is the
-    per-frequency L2 gain sqrt(p + sqrt(M)).
+    The squared norm oscillates as p + q1*cos(2wt) + q2*sin(2wt); its peak
+    is Q^2 = p + sqrt(M) with M = q1^2 + q2^2, Q the per-frequency L2 gain.
     """
 
     p: float
@@ -351,150 +342,80 @@ class L2ResponseStats:
     Q: float
 
 
-# Joint Taylor tables for the small-argument branch, exact rationals in
-# u = a^2, v = b^2, complete through total degree 5. With
-# DH = (cosh(2a) - cos(2b)) / (u + v)            (entire, -> 2)
-# PN = (b sinh 2a - a sin 2b) / (ab (u + v))     (entire, -> 2/3)
-# and N1H, N2H, NMH the analogous entire cofactors of q1, q2, M:
-#   p  = PN / (2 DH)            q1 = N1H / (2 DH^2)
-#   q2 = a b N2H / DH^2         M  = NMH / (4 DH^2)
-# Validated against 40-digit arithmetic across a, b in [1e-4, 0.08]:
-# max relative error 6e-16. Each entry is (i, j) -> (num, den) for u^i v^j.
-
-_DH_T = {
-    (0, 0): (2, 1), (0, 1): (-2, 3), (1, 0): (2, 3),
-    (0, 2): (4, 45), (1, 1): (-4, 45), (2, 0): (4, 45),
-    (0, 3): (-2, 315), (1, 2): (2, 315), (2, 1): (-2, 315), (3, 0): (2, 315),
-    (0, 4): (4, 14175), (1, 3): (-4, 14175), (2, 2): (4, 14175),
-    (3, 1): (-4, 14175), (4, 0): (4, 14175),
-    (0, 5): (-4, 467775), (1, 4): (4, 467775), (2, 3): (-4, 467775),
-    (3, 2): (4, 467775), (4, 1): (-4, 467775), (5, 0): (4, 467775),
-}
-
-_PN_T = {
-    (0, 0): (2, 3), (0, 1): (-2, 15), (1, 0): (2, 15),
-    (0, 2): (4, 315), (1, 1): (-4, 315), (2, 0): (4, 315),
-    (0, 3): (-2, 2835), (1, 2): (2, 2835), (2, 1): (-2, 2835), (3, 0): (2, 2835),
-    (0, 4): (4, 155925), (1, 3): (-4, 155925), (2, 2): (4, 155925),
-    (3, 1): (-4, 155925), (4, 0): (4, 155925),
-    (0, 5): (-4, 6081075), (1, 4): (4, 6081075), (2, 3): (-4, 6081075),
-    (3, 2): (4, 6081075), (4, 1): (-4, 6081075), (5, 0): (4, 6081075),
-}
-
-_N1H_T = {
-    (0, 0): (-4, 3), (0, 1): (32, 45), (1, 0): (-32, 45),
-    (0, 2): (-164, 945), (1, 1): (104, 315), (2, 0): (-164, 945),
-    (0, 3): (368, 14175), (1, 2): (-304, 4725), (2, 1): (304, 4725),
-    (3, 0): (-368, 14175),
-    (0, 4): (-1256, 467775), (1, 3): (3488, 467775), (2, 2): (-1616, 155925),
-    (3, 1): (3488, 467775), (4, 0): (-1256, 467775),
-    (0, 5): (3968, 19348875), (1, 4): (-42368, 70945875),
-    (2, 3): (634624, 638512875), (3, 2): (-634624, 638512875),
-    (4, 1): (42368, 70945875), (5, 0): (-3968, 19348875),
-}
-
-_N2H_T = {
-    (0, 0): (-8, 45), (0, 1): (64, 945), (1, 0): (-64, 945),
-    (0, 2): (-8, 675), (1, 1): (304, 14175), (2, 0): (-8, 675),
-    (0, 3): (608, 467775), (1, 2): (-32, 10395), (2, 1): (32, 10395),
-    (3, 0): (-608, 467775),
-    (0, 4): (-21584, 212837625), (1, 3): (174656, 638512875),
-    (2, 2): (-79328, 212837625), (3, 1): (174656, 638512875),
-    (4, 0): (-21584, 212837625),
-    (0, 5): (256, 42567525), (1, 4): (-11008, 638512875),
-    (2, 3): (512, 18243225), (3, 2): (-512, 18243225),
-    (4, 1): (11008, 638512875), (5, 0): (-256, 42567525),
-}
-
-_NMH_T = {
-    (0, 0): (4, 9), (0, 1): (-8, 45), (1, 0): (8, 45),
-    (0, 2): (164, 4725), (1, 1): (-104, 1575), (2, 0): (164, 4725),
-    (0, 3): (-184, 42525), (1, 2): (152, 14175), (2, 1): (-152, 14175),
-    (3, 0): (184, 42525),
-    (0, 4): (1256, 3274425), (1, 3): (-3488, 3274425), (2, 2): (1616, 1091475),
-    (3, 1): (-3488, 3274425), (4, 0): (1256, 3274425),
-    (0, 5): (-496, 19348875), (1, 4): (5296, 70945875),
-    (2, 3): (-79328, 638512875), (3, 2): (79328, 638512875),
-    (4, 1): (-5296, 70945875), (5, 0): (496, 19348875),
-}
+# Coefficients k = 1..9 of sinh(2 lambda)/(2 lambda) - 1 = w s(w) and
+# sinh(lambda)^2 = w sh(w) in w = lambda^2, as rows (s, sh); at |w| <= 1/4
+# the first omitted term is below 1e-18 of either sum.
+_SERIES = np.array([[4.0 ** k / math.factorial(2 * k + 1),
+                     4.0 ** k / (2 * math.factorial(2 * k))]
+                    for k in range(1, 10)])[:, :, None]
+# |lambda|^2 below which the series replace the closed forms; above it
+# S(2 lambda) = sinh(2 lambda)/(2 lambda) - 1 cancels by at most a factor 7.5
+_SERIES_R = 0.25
 
 
-def _coef_matrix(table):
-    c = np.zeros((6, 6))
-    for (i, j), (num, den) in table.items():
-        c[i, j] = num / den
-    return c
+def _l2_quantities(params: DampingParams, w: np.ndarray):
+    """(p, q1, q2, M) over a 1-D array of frequencies.
 
-
-_DH_C = _coef_matrix(_DH_T)
-_PN_C = _coef_matrix(_PN_T)
-_N1H_C = _coef_matrix(_N1H_T)
-_N2H_C = _coef_matrix(_N2H_T)
-_NMH_C = _coef_matrix(_NMH_T)
-
-# Below this the closed forms for q1 and M lose more than half their digits
-# to cancellation; the degree-5 tables are accurate to ~1e-15 well past it.
-_SERIES_THRESHOLD = 0.05
-
-
-def _l2_quantities(a, b):
-    """Vectorized (p, q1, q2, M) from root coordinates a, b (arrays)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    p = (1/2) int |v|^2 and C = -q1 + i q2 = (1/2) int v^2 over [0, 1] for
+    the profile v = h + ig; with S(z) = sinh(z)/z - 1, T(z) = 1 - sin(z)/z,
+        p = (S(2a) + T(2b)) / (4 (sinh(a)^2 + sin(b)^2)),
+        C = S(2 lambda) / (4 sinh(lambda)^2),     M = |C|^2.
+    Below |lambda| = 0.5 they come from the series: C = s/(4 sh) at
+    w = lambda^2, p from s and sh at a^2 and -b^2 weighted by a^2/|lambda|^2
+    = cos(theta/2)^2 and b^2/|lambda|^2 = sin(theta/2)^2 (a^2, b^2 may
+    underflow). Above it, every term carries the factor exp(-2a), which
+    cancels: sinh(lambda) and sinh(2 lambda) are written component by
+    component with nonpositive exponents only.
+    """
+    r, theta, a, b = _polar_arrays(params.sigma, params.mu, w)
     p = np.empty_like(a)
-    q1 = np.empty_like(a)
-    q2 = np.empty_like(a)
-    M = np.empty_like(a)
+    c = np.empty(a.shape, dtype=complex)
 
-    small = np.maximum(a, b) < _SERIES_THRESHOLD
-    if np.any(small):
-        u = a[small] ** 2
-        v = b[small] ** 2
-        dh = polyval2d(u, v, _DH_C)
-        p[small] = polyval2d(u, v, _PN_C) / (2.0 * dh)
-        q1[small] = polyval2d(u, v, _N1H_C) / (2.0 * dh * dh)
-        q2[small] = a[small] * b[small] * polyval2d(u, v, _N2H_C) / (dh * dh)
-        M[small] = polyval2d(u, v, _NMH_C) / (4.0 * dh * dh)
+    small = r < _SERIES_R
+    if small.any():
+        ab, bb, half = a[small], b[small], 0.5 * theta[small]
+        # s and sh at lambda^2, a^2 and -b^2 by Horner's rule
+        z = np.concatenate([np.square(ab + 1j * bb), ab * ab, -bb * bb])
+        ser = _SERIES[-1]
+        for coef in _SERIES[-2::-1]:
+            ser = ser * z + coef
+        s, sh = ser.reshape(2, 3, -1)
+        c[small] = s[0] / (4.0 * sh[0])
+        wa = np.square(np.cos(half))
+        wb = np.square(np.sin(half))
+        p[small] = ((wa * s[1].real + wb * s[2].real)
+                    / (4.0 * (wa * sh[1].real + wb * sh[2].real)))
 
     big = ~small
-    if np.any(big):
+    if big.any():
         ab, bb = a[big], b[big]
         e2a = np.exp(-2.0 * ab)
-        dh = scaled_cosh_minus_cos(2.0 * ab, 2.0 * bb)  # e^{-2a}(cosh2a-cos2b)
-        sh = -0.5 * np.expm1(-4.0 * ab)                 # e^{-2a} sinh 2a
-        ch = 0.5 * (1.0 + e2a * e2a)                    # e^{-2a} cosh 2a
+        em = np.expm1(-2.0 * ab)
+        sh2a = -0.5 * np.expm1(-4.0 * ab)               # e^{-2a} sinh 2a
         s2b = np.sin(2.0 * bb)
-        c2b = np.cos(2.0 * bb)
-        r2 = ab * ab + bb * bb
-        p[big] = (bb * sh - ab * e2a * s2b) / (4.0 * ab * bb * dh)
-        q1[big] = ((e2a * ch * c2b - e2a * e2a) / (2.0 * dh * dh)
-                   + (bb * e2a * s2b - ab * sh) / (4.0 * r2 * dh))
-        q2[big] = (sh * e2a * s2b / (2.0 * dh * dh)
-                   - (ab * e2a * s2b + bb * sh) / (4.0 * r2 * dh))
-        num = (4.0 * r2 * e2a * e2a
-               - 4.0 * e2a * (bb * s2b * ch + ab * sh * c2b)
-               + sh * sh + e2a * e2a * s2b * s2b)
-        M[big] = num / (16.0 * r2 * dh * dh)
-    return p, q1, q2, M
+        p[big] = ((bb * sh2a - ab * e2a * s2b)
+                  / (4.0 * ab * bb * scaled_cosh_minus_cos(2.0 * ab, 2.0 * bb)))
+        # e^{-a} sinh(lambda) and e^{-2a} sinh(2 lambda)
+        sh1 = -0.5 * em * np.cos(bb) + 1j * (0.5 * (2.0 + em) * np.sin(bb))
+        sh2 = (sh2a * np.cos(2.0 * bb)
+               + 1j * (0.5 * (1.0 + e2a * e2a) * s2b))
+        c[big] = (sh2 / (2.0 * (ab + 1j * bb)) - e2a) / (4.0 * sh1 * sh1)
+    q1, q2 = -c.real, c.imag
+    return p, q1, q2, q1 * q1 + q2 * q2
 
 
-def l2_stats_at(params: DampingParams, omega: float) -> L2ResponseStats:
-    """L2-norm statistics (p, q1, q2, M) and gain Q at one frequency.
+def l2_stats_at(params: DampingParams, omega) -> L2ResponseStats:
+    """L2-norm statistics (p, q1, q2, M) and gain Q = sqrt(p + sqrt(M)).
 
-    As omega -> 0 these approach p = 1/6, M = 1/36, Q = 1/sqrt(3).
+    Same contract as sup_gain_at: a scalar or a 1-D array of positive finite
+    frequencies, float fields for a scalar and arrays otherwise, an array
+    call equal to the one-element calls bit for bit. As omega -> 0 they
+    approach p = 1/6, M = 1/36, Q = 1/sqrt(3).
     """
-    point = polar_params(params, omega)
-    p, q1, q2, M = _l2_quantities(np.array([point.a]), np.array([point.b]))
-    pv, Mv = float(p[0]), float(max(M[0], 0.0))
-    return L2ResponseStats(p=pv, q1=float(q1[0]), q2=float(q2[0]), M=Mv,
-                           Q=math.sqrt(pv + math.sqrt(Mv)))
-
-
-def _l2_gain_many(params: DampingParams, omegas) -> np.ndarray:
-    """Q(omega) over a scalar or an array of frequencies, vectorized; equal
-    bit for bit to l2_stats_at(params, omega).Q."""
-    w = np.asarray(omegas, dtype=float)
-    (padded,) = _pow2_length(w.ravel())
-    _, _, a, b = _polar_arrays(params.sigma, params.mu, padded)
-    p, _, _, M = _l2_quantities(a, b)
-    return np.sqrt(p + np.sqrt(np.maximum(M, 0.0)))[:w.size].reshape(w.shape)
+    wv, scalar = _check_omega(omega)
+    (padded,) = _pow2_length(wv)
+    p, q1, q2, M = (x[:wv.size] for x in _l2_quantities(params, padded))
+    Q = np.sqrt(p + np.hypot(q1, q2))
+    if scalar:
+        return L2ResponseStats(*(float(x[0]) for x in (p, q1, q2, M, Q)))
+    return L2ResponseStats(p=p, q1=q1, q2=q2, M=M, Q=Q)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._numerics import refine_local_maxima
-from .freq_response import DampingParams, sup_gain_at, _l2_gain_many
+from .freq_response import DampingParams, l2_stats_at, sup_gain_at
 from .modal import (
     _check_mode_index,
     _decay_rate_array,
@@ -268,7 +268,8 @@ def lower_l2(params: DampingParams,
     """
     search = search or FrequencySearchConfig()
     value, argmax = _spike_search(
-        params, search, _l2_gain_many, limit_value=INV_SQRT3)
+        params, search, lambda p, w: l2_stats_at(p, w).Q,
+        limit_value=INV_SQRT3)
     return L2LowerBound(value=value, argmax_omega=argmax)
 
 

@@ -23,7 +23,6 @@ from .freq_response import DampingParams
 
 __all__ = [
     "DisturbanceSpec",
-    "modal_transfer",
     "modal_kernel_l1",
     "CRITICAL_RTOL",
 ]
@@ -170,21 +169,14 @@ class DisturbanceSpec:
 # transfer function
 # ---------------------------------------------------------------------------
 
-def modal_transfer(params: DampingParams, n: int, omega: float) -> complex:
-    """Steady-state gain of mode n for a unit complex sinusoid e^{i omega t}.
+def _transfer_array(params: DampingParams, ns: np.ndarray, omega: float) -> np.ndarray:
+    """Steady-state gains H_n of the modes ns for a unit complex sinusoid
+    e^{i omega t}.
 
     H_n = sqrt(2) n pi (1 + i sigma omega)
           / (n^2 pi^2 - omega^2 + i omega (mu + n^2 pi^2 sigma));
     the denominator cannot vanish for real omega since mu + n^2 pi^2 sigma > 0.
     """
-    n = _check_mode_index(n)
-    w = float(omega)
-    if not (math.isfinite(w) and w > 0.0):
-        raise ValueError(f"omega must be a positive real, got {omega!r}")
-    return complex(_transfer_array(params, np.array([n]), w)[0])
-
-
-def _transfer_array(params: DampingParams, ns: np.ndarray, omega: float) -> np.ndarray:
     npi, k, _ = _mode_table(params, ns)
     num = SQRT2 * npi * (1.0 + 1j * params.sigma * omega)
     den = npi * npi - omega * omega + 1j * omega * (2.0 * k)

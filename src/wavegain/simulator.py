@@ -16,9 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._numerics import composite_simpson
-# sup_gain_at and l2_stats_at are unused here but stay importable from this
-# module: bench/spans.py wraps them under this namespace
-from .freq_response import DampingParams, sup_gain_at, l2_stats_at  # noqa: F401
+from .freq_response import DampingParams
 from .modal import (
     SQRT2,
     DisturbanceSpec,

@@ -9,10 +9,11 @@ import wavegain
 REMOVED = {
     "wavegain": ("ModalState", "modal_step", "initial_modal_state",
                  "mode_split", "SteadyStateProfile", "SweepRow",
-                 "empirical_gain_sweep"),
+                 "empirical_gain_sweep", "modal_transfer"),
     "wavegain.modal": ("ModalState", "modal_step", "initial_modal_state",
-                       "mode_split"),
-    "wavegain.freq_response": ("SteadyStateProfile", "_sup_gain_many"),
+                       "mode_split", "modal_transfer"),
+    "wavegain.freq_response": ("SteadyStateProfile", "_sup_gain_many",
+                               "_l2_gain_many"),
     "wavegain.gain_bounds": ("_l2_gain_one",),
     "wavegain.simulator": ("SweepRow", "empirical_gain_sweep"),
     "wavegain.cli": ("PARALLEL_ENV", "ThreadPoolExecutor"),

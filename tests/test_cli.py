@@ -121,6 +121,22 @@ class TestBode:
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
 
+    def test_non_finite_gain_is_usage_error(self, tmp_path, capsys):
+        # omega^2 overflows at the last row: exit 2 before anything is written
+        out = tmp_path / "bode.csv"
+        args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "1",
+                "--omega-max", "1e308", "--points", "3", "--scale", "log",
+                "--out", str(out)]
+        assert run_main(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the gains at omega=1e+308 are not finite\n"
+        assert list(tmp_path.iterdir()) == []
+        proc = subprocess.run([sys.executable, "-m", "wavegain", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == err
+        assert list(tmp_path.iterdir()) == []
+
     def test_parallel_option_is_gone(self, tmp_path, capsys):
         args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "0.5",
                 "--omega-max", "13", "--points", "4", "--out", "-"]
@@ -234,6 +250,20 @@ class TestSimulate:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Warning" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_analytic_gain_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--sigma", "1", "--mu", "0", "--omega", "1e200",
+                "--t-final", "0.05", "--out", str(out)]
+        assert run_main(*args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the gains at omega=1e+200 are not finite\n"
+        assert list(tmp_path.iterdir()) == []
+        proc = subprocess.run([sys.executable, "-m", "wavegain", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_knots_usage_error(self, capsys):

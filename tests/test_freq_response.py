@@ -245,12 +245,20 @@ class TestSupGain:
         assert max(passes) <= 8
 
     def test_frequency_validation(self):
+        # one shared check: the same message from every frequency entry point
         p = DampingParams(0.1, 0.0)
-        for bad in (0.0, -1.0, math.inf, math.nan, [1.0, math.nan]):
-            with pytest.raises(ValueError, match="omega"):
-                sup_gain_at(p, bad)
-        with pytest.raises(ValueError, match="omega"):
-            sup_gain_at(DampingParams(1.0, 1.0), [2.0, 0.0])
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            for fn in (polar_params, sup_gain_at, l2_stats_at):
+                with pytest.raises(ValueError,
+                                   match=f"omega must be a positive real, got {bad!r}"):
+                    fn(p, bad)
+        for fn in (sup_gain_at, l2_stats_at):
+            with pytest.raises(ValueError, match="got nan"):
+                fn(p, [1.0, math.nan])
+            with pytest.raises(ValueError, match="got 0.0"):
+                fn(DampingParams(1.0, 1.0), [2.0, 0.0])
+            with pytest.raises(ValueError, match="1-D"):
+                fn(p, [[1.0, 2.0]])
         assert isinstance(sup_gain_at(p, 2.0), float)
         assert sup_gain_at(p, [2.0, 3.0]).shape == (2,)
 
@@ -297,22 +305,58 @@ class TestL2Stats:
         assert st.M == pytest.approx(1.0 / 36.0, rel=1e-8)
         assert st.Q == pytest.approx(INV_SQRT3, rel=1e-9)
 
+    def test_limit_values_where_the_root_underflows(self):
+        # |lambda|^2 ~ omega^2 underflows to 0 here
+        st = l2_stats_at(DampingParams(1.0, 0.0), 1e-300)
+        for got, want in [(st.p, 1.0 / 6.0), (st.M, 1.0 / 36.0),
+                          (st.Q, INV_SQRT3)]:
+            assert abs(got - want) <= 2.0 * math.ulp(want)
+
     def test_series_and_closed_form_agree_across_crossover(self):
-        # the small-argument series takes over near omega ~ 0.05 for these
-        # parameters; both branches must match the quadrature oracle. The
-        # closed forms still cancel a little right above the threshold, so
-        # that side gets the looser tolerance.
-        for omega, rel in [(0.049, 1e-13), (0.0499, 1e-13),
-                           (0.0501, 1e-9), (0.051, 1e-9)]:
-            st = l2_stats_at(DampingParams(1.0, 0.0), omega)
-            p, q1, q2 = oc.mp_l2_stats(1.0, 0.0, omega)
-            assert st.p == pytest.approx(p, rel=rel)
-            assert st.q1 == pytest.approx(q1, rel=rel)
-            assert st.q2 == pytest.approx(q2, rel=rel)
+        # for these parameters the series below |lambda| = 0.5 hand over to
+        # the closed forms near omega = 0.5321; the old switch near
+        # omega = 0.05 is kept as well
+        p = DampingParams(1.0, 0.0)
+        for omega, below in [(0.049, True), (0.0501, True), (0.051, True),
+                             (0.53, True), (0.5321, True), (0.5322, False),
+                             (0.535, False), (0.6, False)]:
+            assert (polar_params(p, omega).r < 0.25) == below
+            st = l2_stats_at(p, omega)
+            pp, q1, q2 = oc.mp_l2_stats(1.0, 0.0, omega)
+            assert st.p == pytest.approx(pp, rel=1e-13)
+            assert st.q1 == pytest.approx(q1, rel=1e-13)
+            assert st.q2 == pytest.approx(q2, rel=1e-13)
+            assert st.Q == pytest.approx(math.sqrt(pp + math.hypot(q1, q2)),
+                                         rel=1e-15)
 
     def test_q_continuous_in_frequency(self):
-        # no jump at the branch switch
+        # no jump at the branch switch near omega = 0.5321
         p = DampingParams(1.0, 0.0)
-        qs = [l2_stats_at(p, w).Q for w in np.linspace(0.03, 0.08, 201)]
+        qs = l2_stats_at(p, np.linspace(0.5, 0.56, 201)).Q
         diffs = np.abs(np.diff(qs))
         assert diffs.max() < 1e-4
+
+    @settings(max_examples=25)
+    @example((1.0, 0.0, [0.5321, 0.5322, 1e-3], [2, 0, 1], 1))  # both branches
+    @given(sup_gain_cases())
+    def test_array_call_matches_scalar_calls(self, case):
+        sigma, mu, omegas, order, split = case
+        p = DampingParams(sigma, mu)
+        whole = l2_stats_at(p, np.array(omegas))
+        shuffled = np.array(omegas)[order]
+        first = l2_stats_at(p, shuffled[:split])
+        second = l2_stats_at(p, shuffled[split:])
+        for name in ("p", "q1", "q2", "M", "Q"):
+            got = getattr(whole, name)
+            single = np.array([getattr(l2_stats_at(p, w), name)
+                               for w in omegas])
+            parts = np.concatenate([getattr(first, name),
+                                    getattr(second, name)])
+            assert got.tobytes() == single.tobytes()
+            assert parts.tobytes() == got[order].tobytes()
+        assert np.all(np.isfinite(whole.Q)) and np.all(whole.p > 0.0)
+
+    def test_empty_array_gives_empty_fields(self):
+        st = l2_stats_at(DampingParams(1.0, 0.0), np.array([]))
+        for name in ("p", "q1", "q2", "M", "Q"):
+            assert getattr(st, name).shape == (0,)

@@ -64,14 +64,26 @@ class TestDefectDetection:
     def test_corrupted_profile_caught(self, monkeypatch):
         real = fr.profile_at
 
-        def flipped(params, omega, x):
-            h, g = real(params, omega, x)
+        def flipped(point, x):
+            h, g = real(point, x)
             return h, -g
 
         monkeypatch.setattr(fr, "profile_at", flipped)
         buf = io.StringIO()
         assert cli.cmd_verify(seed=0, quick=True, stream=buf) == 1
         assert "FAIL" in buf.getvalue()
+
+    def test_corrupted_l2_statistics_caught(self, monkeypatch):
+        real = fr._l2_quantities
+
+        def skewed(params, w):
+            p, q1, q2, M = real(params, w)
+            return p, q1, q2 * (1.0 + 1e-6), M
+
+        monkeypatch.setattr(fr, "_l2_quantities", skewed)
+        (result,) = run_suites(names=["l2-stats-identity"], seed=0, quick=True)
+        assert not result.passed
+        assert result.worst > result.tolerance
 
     def test_intact_library_passes(self):
         buf = io.StringIO()
