@@ -69,12 +69,16 @@ def grid_local_maxima(fs):
 
 
 def refine_local_maxima(f, xs, fs, tol=1e-10):
-    """Refine every grid-local maximum of sampled values by golden section.
+    """Refine the grid-local maxima of sampled values by golden section.
 
     xs, fs: 1-D arrays of grid points (increasing) and f values. Each grid
     local maximum (grid_local_maxima, endpoints included) is refined on its
-    bracket of neighbouring grid points. Returns (x_best, f_best) with value
-    ties between separate maxima broken toward smaller x.
+    bracket of neighbouring grid points. A maximum at either end of the grid
+    first costs one probe of f at tol inside that end: if the curve does not
+    rise there, the end itself is the cell's maximum under the unimodal
+    assumption golden section already makes, and it is kept unsearched.
+    Returns (x_best, f_best) with value ties between separate maxima broken
+    toward smaller x.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -84,7 +88,9 @@ def refine_local_maxima(f, xs, fs, tol=1e-10):
     for i in idx:
         lo = xs[max(i - 1, 0)]
         hi = xs[min(i + 1, xs.size - 1)]
-        if hi - lo <= tol:
+        inward = tol if i == 0 else -tol if i == xs.size - 1 else None
+        if hi - lo <= tol or (
+                inward is not None and f(float(xs[i]) + inward) <= fs[i]):
             x, fx = float(xs[i]), float(fs[i])
         else:
             x, fx = golden_max(f, lo, hi, tol=tol)

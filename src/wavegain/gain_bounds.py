@@ -78,9 +78,11 @@ class FrequencySearchConfig:
     The curve is sampled on a logarithmic grid of base_points over
     [OMEGA_MIN, omega_max] plus dense linear windows of half-width
     WINDOW_HALF_WIDTH around each multiple of pi (the resonant spikes sit
-    near those); every grid-local maximum is refined by golden section to
-    REFINE_TOL. Window scanning stops after STALE_WINDOWS (five) windows in
-    a row that do not raise the best.
+    near those); every interior grid-local maximum is refined by golden
+    section to REFINE_TOL, and a maximum at either end of a scan only when
+    one probe REFINE_TOL inside that end shows the curve rising there. Window
+    scanning stops after STALE_WINDOWS (five) windows in a row that do not
+    raise the best.
 
     omega_max = None resolves to max(20*pi, 4/sigma).
     """
@@ -176,8 +178,7 @@ def _spike_search(params, search, evaluate, limit_value):
     """Maximize a gain curve: log base grid + windows at multiples of pi.
 
     evaluate(params, omega) takes a scalar or a 1-D array of frequencies; it
-    gives each scan's values and every golden-section probe of the omega
-    refinement.
+    gives each scan's values and every probe of the omega refinement.
 
     Returns (best_value, best_omega); best_omega = 0.0 marks the omega -> 0
     limit candidate, which is seeded first so exact ties resolve to it.

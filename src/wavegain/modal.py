@@ -314,7 +314,8 @@ def _propagator_arrays(table, dt: float):
     return p00, p01, p10, p11
 
 
-def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float):
+def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float,
+                       start=None):
     """Exact particular solution (y_p, y_p') of each mode at times t0 and t1.
 
     table is the _mode_table of the modes and sigma the Kelvin-Voigt
@@ -322,15 +323,18 @@ def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float
     steady-state response) and unused otherwise. Besides sinusoids, supports
     constant forcing and forcing that is linear on [t0, t1]; raises
     ValueError for other segment shapes.
+
+    For a sinusoid the particular solution is one function of time, so a
+    caller that already holds its values at t0 (the previous segment's end)
+    passes them as start and only the t1 end is computed. Ignored for the
+    other kinds, whose particular solution is set per segment.
     """
     if d.kind == "sinusoid":
-        ph0 = np.exp(1j * (d.omega * t0 + d.phase))
-        ph1 = np.exp(1j * (d.omega * t1 + d.phase))
-        y0 = d.amplitude * (H * ph0).imag
-        v0 = d.amplitude * d.omega * (H * ph0).real
-        y1 = d.amplitude * (H * ph1).imag
-        v1 = d.amplitude * d.omega * (H * ph1).real
-        return (y0, v0), (y1, v1)
+        def at(t):
+            z = H * np.exp(1j * (d.omega * t + d.phase))
+            return d.amplitude * z.imag, d.amplitude * d.omega * z.real
+
+        return (at(t0) if start is None else start), at(t1)
     d0, slope = d.linear_piece(t0, t1)
     npi, k, _ = table
     beta = SQRT2 * slope / npi

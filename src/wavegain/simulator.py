@@ -198,6 +198,9 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
 
     t = 0.0
     measure(0, t)
+    # the last segment's end time and particular values; a sinusoid segment
+    # that starts at that same float time reuses them as its start
+    end_t, end = None, None
     for j in range(n_steps):
         t_next = t + config.dt_output
         seg_start = t
@@ -206,7 +209,9 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
             if dt <= 0.0:
                 continue
             (yp0, vp0), (yp1, vp1) = _particular_arrays(
-                table, params.sigma, H, d, seg_start, seg_start + dt)
+                table, params.sigma, H, d, seg_start, seg_start + dt,
+                start=end if end_t == seg_start else None)
+            end_t, end = seg_start + dt, (yp1, vp1)
             p00, p01, p10, p11 = propagator(dt)
             zy = y - yp0
             zv = v - vp0

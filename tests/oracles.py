@@ -1,7 +1,9 @@
 """Independent evaluation routes used to cross-check the package.
 
 Everything here is written directly from the defining formulas with
-mpmath/scipy/cmath and shares no code with the package internals. The
+mpmath/scipy/cmath and shares no code with the package internals, except
+refine_every_maximum, which keeps an earlier form of the package's grid
+refinement as a reference and calls the package's golden section. The
 implementations are deliberately naive (literal complex arithmetic, dense
 grids, generic quadrature): correctness over speed. Tests compare package
 output against these routes live where cheap, and against frozen values
@@ -14,6 +16,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate, optimize
+
+from wavegain._numerics import golden_max, grid_local_maxima
 
 SQRT2 = math.sqrt(2.0)
 
@@ -263,6 +267,35 @@ def u2_interval_literal(sigma, mu, n_terms):
     lo = math.sqrt((s + 1.0 / (n_terms + 1)) / (3.0 * zeta2))
     hi = math.sqrt((s + a_hi * a_hi / n_terms) / (3.0 * zeta2))
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# spike-search refinement
+# ---------------------------------------------------------------------------
+
+def refine_every_maximum(f, xs, fs, tol=1e-10):
+    """Grid refinement that golden-searches every grid-local maximum.
+
+    The form _numerics.refine_local_maxima had before it kept end maxima
+    after one inward probe; same arguments, same return value.
+    """
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    idx = np.nonzero(grid_local_maxima(fs))[0]
+    best_x = float(xs[0])
+    best_f = -math.inf
+    for i in idx:
+        lo = xs[max(i - 1, 0)]
+        hi = xs[min(i + 1, xs.size - 1)]
+        if hi - lo <= tol:
+            x, fx = float(xs[i]), float(fs[i])
+        else:
+            x, fx = golden_max(f, lo, hi, tol=tol)
+            if fs[i] > fx:
+                x, fx = float(xs[i]), float(fs[i])
+        if fx > best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
 
 
 # ---------------------------------------------------------------------------

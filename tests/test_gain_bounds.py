@@ -358,3 +358,52 @@ class TestGainBoundsAggregate:
 
     def test_consistency_error_type(self):
         assert issubclass(InternalConsistencyError, AssertionError)
+
+
+class TestEndpointRefinement:
+    """The spike search keeps an end-of-scan maximum after one inward probe
+    when the curve does not rise there, instead of golden-searching it."""
+
+    # acceptance-grid pairs whose L2 curves peak inside the left-end cell of
+    # the first window [pi - 0.5, pi + 0.5]; with base_points=16 that cell
+    # gives the best L_2 of the second pair, which keeping the end unsearched
+    # would lower by 2e-16 and move its argmax by 4e-8
+    END_CELL_PEAKS = [(0.17561698705841688, 0.631578947368421),
+                      (0.24072270107570087, 0.21052631578947367),
+                      (0.28183330319652344, 0.0)]
+    DEFAULT_PAIRS = [(1.0, 0.0), (0.05, 0.1), (0.3, 5.0), (0.02, 0.0)]
+
+    def test_same_bounds_as_refining_every_maximum(self, monkeypatch):
+        grid = FrequencySearchConfig(base_points=128, omega_max=30.0)
+        coarse = FrequencySearchConfig(base_points=16, omega_max=30.0)
+        cases = ([(p, s) for p in self.END_CELL_PEAKS for s in (grid, coarse)]
+                 + [(p, None) for p in self.DEFAULT_PAIRS])
+        fast = [(lower_sup(DampingParams(*p), s), lower_l2(DampingParams(*p), s))
+                for p, s in cases]
+        module = importlib.import_module("wavegain.gain_bounds")
+        monkeypatch.setattr(module, "refine_local_maxima",
+                            oc.refine_every_maximum)
+        for (p, s), (sup, l2) in zip(cases, fast):
+            assert lower_sup(DampingParams(*p), s) == sup, p
+            assert lower_l2(DampingParams(*p), s) == l2, p
+
+    @pytest.mark.parametrize("sigma, mu", [(1.0, 1.0), (0.3, 5.0)])
+    def test_few_one_frequency_evaluations(self, monkeypatch, sigma, mu):
+        # scans pass arrays; every scalar call is a refinement probe
+        module = importlib.import_module("wavegain.gain_bounds")
+        calls = {"sup": 0, "l2": 0}
+
+        def counted(name, func):
+            def wrapper(params, w):
+                calls[name] += np.ndim(w) == 0
+                return func(params, w)
+            return wrapper
+
+        monkeypatch.setattr(module, "sup_gain_at",
+                            counted("sup", module.sup_gain_at))
+        monkeypatch.setattr(module, "l2_stats_at",
+                            counted("l2", module.l2_stats_at))
+        lower_sup(DampingParams(sigma, mu))
+        lower_l2(DampingParams(sigma, mu))
+        assert 0 < calls["sup"] <= 10
+        assert 0 < calls["l2"] <= 10

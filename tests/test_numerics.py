@@ -134,3 +134,45 @@ class TestRefineLocalMaxima:
         x_best, f_best = refine_local_maxima(f, xs, fs)
         assert f_best == pytest.approx(1.0, abs=1e-10)
         assert x_best == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("f", [lambda x: x, lambda x: -x,
+                                   lambda x: math.exp(-3.0 * x)],
+                             ids=["rising", "falling", "decaying"])
+    def test_monotone_end_maximum_costs_one_probe(self, f):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return f(x)
+
+        xs = np.linspace(0.0, 1.0, 11)
+        fs = np.array([f(x) for x in xs])
+        x_best, f_best = refine_local_maxima(counting, xs, fs, tol=1e-10)
+        end = int(np.argmax(fs))
+        assert end in (0, xs.size - 1)
+        assert (x_best, f_best) == (xs[end], fs[end])
+        # one probe tol inside the end, no golden search
+        assert calls == [xs[0] + 1e-10 if end == 0 else xs[-1] - 1e-10]
+
+    def test_flat_run_costs_one_probe(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2.0
+
+        xs = np.linspace(0.0, 1.0, 11)
+        fs = np.full_like(xs, 2.0)
+        assert refine_local_maxima(f, xs, fs) == (1.0, 2.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("peak", [0.97, 0.03])
+    def test_peak_inside_end_cell_still_found(self, peak):
+        # the grid maximum sits at the end, the true one a cell inside it
+        f = lambda x: -(x - peak) ** 2
+        xs = np.linspace(0.0, 1.0, 11)
+        fs = np.array([f(x) for x in xs])
+        assert int(np.argmax(fs)) in (0, xs.size - 1)
+        x_best, f_best = refine_local_maxima(f, xs, fs)
+        assert abs(x_best - peak) < 1e-7
+        assert f_best > fs.max()

@@ -1,5 +1,6 @@
 """Time-domain simulator: field reconstruction, norms, empirical gains."""
 
+import importlib
 import math
 
 import numpy as np
@@ -119,6 +120,30 @@ class TestSinusoidGains:
         assert g2.empirical_gain_l2 == pytest.approx(g1.empirical_gain_l2,
                                                      rel=1e-12)
         assert np.allclose(g2.sup_norm, 2.0 * g1.sup_norm, rtol=1e-12)
+
+    def test_reused_step_ends_match_recomputed_starts(self, monkeypatch):
+        # each step starts where the last ended, so the particular values at
+        # that time are reused, not recomputed; the field must not move a bit
+        p = DampingParams(0.3, 0.5)
+        d = DisturbanceSpec.sinusoid(1.3, 7.0, phase=0.4)
+        cfg = SimConfig(n_modes=32, t_final=2.0, dt_output=0.01, x_points=128)
+        module = importlib.import_module("wavegain.simulator")
+        particular = module._particular_arrays
+        reused = []
+
+        def recording(*args, start=None):
+            reused.append(start is not None)
+            return particular(*args, start=start)
+
+        monkeypatch.setattr(module, "_particular_arrays", recording)
+        res = simulate(p, d, cfg)
+        assert sum(reused) == len(reused) - 1  # all but the first step
+
+        monkeypatch.setattr(module, "_particular_arrays",
+                            lambda *args, start=None: particular(*args))
+        ref = simulate(p, d, cfg)
+        assert np.array_equal(res.sup_norm, ref.sup_norm)
+        assert np.array_equal(res.l2_norm, ref.l2_norm)
 
     def test_output_grid(self):
         # the full series is reported from t=0; burn-in only gates the
