@@ -163,7 +163,8 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
                 f"{_fmt(math.log(a))},{_fmt(math.log(q))}")
 
     lines = ["omega,A_sup,Q_l2,ln_A_sup,ln_Q_l2"]
-    lines += [row(w, a, q) for w, a, q in zip(omegas, sups, l2s)]
+    lines += [row(w, a, q)
+              for w, a, q in zip(omegas, sups.tolist(), l2s.tolist())]
     _write_lines(out, lines)
     return EXIT_OK
 

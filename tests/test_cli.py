@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 
@@ -68,6 +69,24 @@ class TestBounds:
         assert run_main("bounds", "--sigma", "5e-324", "--mu", "0") == 2
         assert capsys.readouterr().err.startswith(
             "error: sigma=5e-324 is too small")
+
+    def test_oversized_sup_gain_grid_is_usage_error(self):
+        # the base scan reaches omega = 4e300, where one row of the sup-gain
+        # grid would need ~1e300 points: refused before allocation. The
+        # address-space limit turns a regression into a failure here, not
+        # into a run that exhausts the machine's memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegain", "bounds", "--sigma", "1e-300",
+             "--mu", "0"], capture_output=True, text=True,
+            preexec_fn=limit_memory, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: sigma=1e-300, omega=")
+        assert proc.stderr.count("\n") == 1
+        assert "above the cap" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestBode:

@@ -205,7 +205,7 @@ class TestSupGain:
             assert pkg == pytest.approx(brute, rel=1e-6)
 
     @settings(max_examples=25)
-    @example((1e-5, 0.0, [1389.5, 3.0], [1, 0], 1))   # n = 14176 > 1024
+    @example((1e-5, 0.0, [1389.5, 3.0], [1, 0], 1))   # n = 14176: many blocks
     @example((1.0, 0.0, [2000.0, 0.5], [0, 1], 1))    # a >= 20: x window
     @example((1.0, 2.0, [5.0, 0.01], [1, 0], 0))      # mu*sigma >= 1
     @given(sup_gain_cases())
@@ -266,6 +266,48 @@ class TestSupGain:
         # huge a: the search window must collapse to the boundary layer
         val = sup_gain_at(DampingParams(1e-4, 0.0), 4.0e4)
         assert 1.0 <= val < 1.5
+
+    def test_few_period_rows_reach_a_dense_grid(self):
+        # rows with fewer than 32 periods of cos(2bx) get 32 points per
+        # period; the refined value must reach a 2^16-point float64 grid
+        rng = np.random.default_rng(23)
+        xs = np.linspace(0.0, 1.0, (1 << 16) + 1)
+        cases = 0
+        while cases < 200:
+            sigma = 10.0 ** rng.uniform(-3.0, 0.5)
+            mu = rng.uniform(0.0, 0.999) / sigma
+            omega = 10.0 ** rng.uniform(-2.0, 2.5)
+            _, _, a, b = fr._polar_arrays(sigma, mu, np.array([omega]))
+            x_lo = 1.0 - 20.0 / max(a[0], 20.0)
+            if b[0] * (1.0 - x_lo) / math.pi >= 32.0 or a[0] > 300.0:
+                continue
+            cases += 1
+            lam = oc.spatial_root(sigma, mu, omega)
+            dense = np.abs(np.sinh(lam * (1.0 - xs)) / np.sinh(lam)).max()
+            val = sup_gain_at(DampingParams(sigma, mu), omega)
+            assert val >= dense * (1.0 - 1e-15), (sigma, mu, omega)
+
+    def test_grid_points_per_row(self, monkeypatch):
+        # 32 points per period, no floor: a 300-row call near the first
+        # resonances samples under 200 points per row (1025 with a floor)
+        points = []
+        grid_peaks = fr._grid_peaks
+
+        def counting(a, b, x_lo, m, rows, best):
+            points.append((m + 1) * rows.size)
+            return grid_peaks(a, b, x_lo, m, rows, best)
+
+        monkeypatch.setattr(fr, "_grid_peaks", counting)
+        sup_gain_at(DampingParams(0.1, 0.2), np.linspace(0.5, 60.0, 300))
+        assert sum(points) / 300 <= 200
+
+    def test_grid_size_cap(self):
+        # a row that would need more than 2^20 points is refused before
+        # anything is allocated, naming sigma and omega
+        p = DampingParams(1e-300, 0.0)
+        with pytest.raises(ValueError, match=r"sigma=1e-300, omega=1000000\.0"):
+            sup_gain_at(p, [1.0, 1e6])
+        assert sup_gain_at(p, 1e5) >= 1.0   # about 2^20 points: allowed
 
 
 class TestL2Stats:

@@ -1,6 +1,7 @@
 """Self-check harness: suite selection, determinism, defect detection."""
 
 import io
+import math
 
 import pytest
 
@@ -51,15 +52,20 @@ class TestDefectDetection:
     def test_corrupted_amplification_caught(self, monkeypatch):
         real = gb._amplification_array
 
-        def warped(sigma, mu, n_max):
-            return 2.0 - real(sigma, mu, n_max)
+        def warped(params, ns):
+            return 2.0 - real(params, ns)
 
         monkeypatch.setattr(gb, "_amplification_array", warped)
         buf = io.StringIO()
         assert cli.cmd_verify(seed=0, quick=True, stream=buf) == 1
-        text = buf.getvalue()
-        assert "FAIL" in text
-        assert "kernel-l1" in text
+        (line,) = [l for l in buf.getvalue().splitlines()
+                   if l.split()[1:2] == ["kernel-l1"]]
+        # the corrupted A_n reached the check: a finite gap, not a raise
+        fields = line.split()
+        assert fields[0] == "FAIL" and fields[2] == "worst"
+        worst = float(fields[3])
+        tol = float(fields[5].rstrip(","))
+        assert math.isfinite(worst) and worst > tol
 
     def test_corrupted_profile_caught(self, monkeypatch):
         real = fr.profile_at
