@@ -161,15 +161,15 @@ def amplitude_at(point: FrequencyPoint, x):
 # ---------------------------------------------------------------------------
 
 # Elements per 2-D (omega x x) block of the sup-gain grid: each temporary
-# stays at 2^13 doubles (64 KB) unless a single row is longer (a row holds
-# 32 points per period of cos(2bx), so rows above 2^13 points have more than
-# 256 periods). Most rows have a few periods, so a block holds many rows.
+# stays at 2^13 doubles (64 KB) unless a single row is longer (more than
+# 256 periods of cos(2bx)). A row of one to five periods has 33 to 161
+# points, so a block holds 50 to 250 such rows.
 _BLOCK = 1 << 13
 # Points allowed in one row of the sup-gain grid (2^20, 8 MB per temporary);
 # a row that needs more raises ValueError before anything is allocated.
 _MAX_ROW_POINTS = 1 << 20
-# Safety cap on the lockstep Newton loop; the most passes measured is 6,
-# with or without the former 1024-point floor on the grid.
+# Safety cap on the lockstep Newton loop; the most passes measured is 6
+# (test_newton_pass_budget's grid), the same on 33-point and 1025-point rows.
 _NEWTON_MAX_ITER = 64
 
 
@@ -263,34 +263,12 @@ def _grid_peaks(a, b, x_lo, m, rows, best):
             xs[r, c])
 
 
-def _grid_sizes(params: DampingParams, w, a, b, x_lo):
-    """Points n per row of the sup-gain grid: 32 per period of cos(2bx) on
-    [x_lo, 1], at least 32.
-
-    n is computed in float and checked before any allocation: ValueError
-    naming sigma and omega if a row needs more than _MAX_ROW_POINTS. A row
-    whose root overflowed (a, b not finite, n NaN) gets the smallest grid
-    and evaluates to NaN, which callers report as a non-finite gain.
-    """
-    with np.errstate(invalid="ignore"):  # inf * 0 when a = b = inf
-        n = 32.0 * np.maximum(1.0, np.ceil(b * (1.0 - x_lo) / math.pi))
-    big = n > _MAX_ROW_POINTS
-    if big.any():
-        i = int(np.flatnonzero(big)[0])
-        raise ValueError(
-            f"sigma={params.sigma!r}, omega={float(w[i])!r}: the sup-gain "
-            f"grid would need {n[i]:.3g} points, above the cap of "
-            f"{_MAX_ROW_POINTS} per frequency")
-    return np.where(np.isnan(n), 32.0, n).astype(np.int64)
-
-
 def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
     """Abar over a 1-D array of frequencies with mu*sigma < 1.
 
-    Each row is sampled on np.linspace(x_lo, 1, n+1) with n from
-    _grid_sizes; rows with the same n are evaluated together in blocks of
-    about _BLOCK elements. Every grid-local maximum (grid_local_maxima)
-    gives a bracket
+    Each row is sampled on np.linspace(x_lo, 1, n+1); rows with the same n
+    are evaluated together in blocks of about _BLOCK elements. Every
+    grid-local maximum (grid_local_maxima) gives a bracket
     [x_(i-1), x_(i+1)], and all brackets of all rows are refined together by
     _newton_roots on the stationarity condition below.
 
@@ -307,23 +285,33 @@ def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
     grid value stands. A row's value is the larger of its grid maximum and
     F at its roots, so it is never below the grid.
 
-    Grid density: 32 points per period pi/b of cos(2bx), 16 per lobe, as
-    _grid_sizes sets. F has at most one local maximum per period: a maximum
-    is a down-crossing of g, so g' <= 0 there. Where cos(2bx) >= 0, g' > 0.
-    On each half-period where cos(2bx) < 0, the third derivative
+    Grid density: n = 32 points per period pi/b of cos(2bx) on [x_lo, 1],
+    16 per lobe, at least 32. F has at most one local maximum per period: a
+    maximum is a down-crossing of g, so g' <= 0 there. Where cos(2bx) >= 0,
+    g' > 0. On each half-period where cos(2bx) < 0, the third derivative
     8a^4 cosh(2ax) - 8b^4 cos(2bx) of g is positive, so g' is convex there,
     negative on at most one interval, and g crosses down at most once. Rows
     with 32 periods or more have always been sampled by this rule. The other
     rows used to get a floor of 1024 points, which was never shown to be
-    needed.
+    needed. n is computed in float and checked before any allocation: a row
+    above _MAX_ROW_POINTS raises ValueError naming sigma and omega. A root
+    that overflows (a = b = inf) makes n NaN; that row keeps the smallest
+    grid and evaluates to NaN, which callers report as a non-finite gain.
     """
-    # overflowing roots give a, b = inf and a NaN grid size (see _grid_sizes)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN n, see above
         _, _, a, b = _polar_arrays(params.sigma, params.mu, w)
-    # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
-    # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)
-    x_lo = 1.0 - 20.0 / np.maximum(a, 20.0)
-    n = _grid_sizes(params, w, a, b, x_lo)
+        # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
+        # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)
+        x_lo = 1.0 - 20.0 / np.maximum(a, 20.0)
+        n = 32.0 * np.maximum(1.0, np.ceil(b * (1.0 - x_lo) / math.pi))
+    big = n > _MAX_ROW_POINTS
+    if big.any():
+        i = int(np.flatnonzero(big)[0])
+        raise ValueError(
+            f"sigma={params.sigma!r}, omega={float(w[i])!r}: the sup-gain "
+            f"grid would need {n[i]:.3g} points, above the cap of "
+            f"{_MAX_ROW_POINTS} per frequency")
+    n = np.where(np.isnan(n), 32.0, n).astype(np.int64)
     best = np.empty_like(a)
     found = []  # per block: (row, lo, hi, x0) of every grid-local maximum
     order = np.argsort(n, kind="stable")
@@ -350,10 +338,11 @@ def sup_gain_at(params: DampingParams, omega):
     For mu*sigma >= 1 the objective is strictly increasing in x
     (a >= b there, and a*sinh(2ax) >= 2a^2 x >= 2b^2 x >= b*|sin(2bx)|), so
     the maximum sits at x=1 with value exactly 1. Otherwise the maximum is
-    located on a grid of 16 points per oscillation lobe (at least 32 points,
-    at most 2^20: ValueError naming sigma and omega beyond that) and polished by bracketed Newton on its stationarity condition (see
-    _sup_gain_rows). Each value depends only on its own omega: an array call
-    equals the one-element calls bit for bit.
+    located on a grid of 16 points per oscillation lobe (at least 32, at most
+    2^20: ValueError naming sigma and omega beyond that) and polished by
+    bracketed Newton on its stationarity condition (see _sup_gain_rows).
+    Each value depends only on its own omega: an array call equals the
+    one-element calls bit for bit.
     """
     wv, scalar = _check_omega(omega)
     if params.mu * params.sigma >= 1.0 or wv.size == 0:
