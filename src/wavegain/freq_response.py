@@ -325,7 +325,10 @@ def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
     ar, br = a[row], b[row]
     roots, _ = _newton_roots(ar, br, lo, hi, x0)
     np.maximum.at(best, row, _sup_objective(ar, br, roots))
-    return np.maximum(1.0, np.sqrt(best))
+    # where r underflows to 0 (omega below about 1e-162 at mu = 0), a = b = 0
+    # and F is 0/0 (sup_gain_at silences that): the omega -> 0 limit 1
+    return np.where((a == 0.0) & (b == 0.0), 1.0,
+                    np.maximum(1.0, np.sqrt(best)))
 
 
 def sup_gain_at(params: DampingParams, omega):
@@ -341,14 +344,17 @@ def sup_gain_at(params: DampingParams, omega):
     located on a grid of 16 points per oscillation lobe (at least 32, at most
     2^20: ValueError naming sigma and omega beyond that) and polished by
     bracketed Newton on its stationarity condition (see _sup_gain_rows).
-    Each value depends only on its own omega: an array call equals the
-    one-element calls bit for bit.
+    Where the characteristic root underflows to 0 (omega below about
+    1e-162 at mu = 0) the value is the omega -> 0 limit 1. Each value
+    depends only on its own omega: an array call equals the one-element
+    calls bit for bit.
     """
     wv, scalar = _check_omega(omega)
     if params.mu * params.sigma >= 1.0 or wv.size == 0:
         out = np.ones_like(wv)
     else:
-        out = _sup_gain_rows(params, wv)
+        with np.errstate(invalid="ignore"):  # 0/0 where the root underflows
+            out = _sup_gain_rows(params, wv)
     return float(out[0]) if scalar else out
 
 

@@ -78,11 +78,15 @@ class FrequencySearchConfig:
     The curve is sampled on a logarithmic grid of base_points over
     [OMEGA_MIN, omega_max] plus dense linear windows of half-width
     WINDOW_HALF_WIDTH around each multiple of pi (the resonant spikes sit
-    near those); every interior grid-local maximum is refined by golden
-    section to REFINE_TOL, and a maximum at either end of a scan only when
-    one probe REFINE_TOL inside that end shows the curve rising there. Window
-    scanning stops after STALE_WINDOWS (five) windows in a row that do not
-    raise the best.
+    near those). All grid-local maxima of a scan are refined together to
+    REFINE_TOL by refine_local_maxima's zoom: one call per pass on 16 points
+    of every open bracket, each pass shrinking a bracket to 2/17 of its
+    width, so a bracket W wide closes after at most
+    ceil(log(W/REFINE_TOL) / log(17/2)) passes (7 or 8 in a window). A
+    maximum at either end of a scan is refined only when one probe
+    REFINE_TOL inside that end, made in the first pass, shows the curve
+    rising there. Window scanning stops after STALE_WINDOWS (five) windows
+    in a row that do not raise the best.
 
     omega_max = None resolves to max(20*pi, 4/sigma).
     """
@@ -149,7 +153,9 @@ def upper_sup(params: DampingParams) -> Optional[float]:
 
     None when 2 < 2*mu*sigma + sigma^2*pi^2 fails (no finite bound is
     established there). Otherwise the infimum of the 1-D objective, located
-    on a 4096-point grid and polished by golden section to 1e-10 in theta.
+    on a 4096-point grid and polished to 1e-10 in theta by the same zoom as
+    the frequency search (refine_local_maxima on its negative: about eight
+    passes of 16 points per grid minimum).
     The result is clamped below at 1 (the gain itself never drops below 1).
     """
     problem = SupUpperBoundProblem.from_params(params)
@@ -177,8 +183,13 @@ def _window_point_count(delta: float) -> int:
 def _spike_search(params, search, evaluate, limit_value):
     """Maximize a gain curve: log base grid + windows at multiples of pi.
 
-    evaluate(params, omega) takes a scalar or a 1-D array of frequencies; it
-    gives each scan's values and every probe of the omega refinement.
+    evaluate(params, omega) takes a 1-D array of frequencies and returns
+    their values. One call gives a scan's values; then refine_local_maxima
+    zooms on all grid maxima of the scan together, one call per pass on 16
+    points of every open bracket. A scan whose widest bracket (two grid
+    cells around a maximum, one at an end) is W wide thus costs at most
+    1 + ceil(log(W/REFINE_TOL) / log(17/2)) calls, plus one pass when an
+    end-of-scan probe opens a bracket.
 
     Returns (best_value, best_omega); best_omega = 0.0 marks the omega -> 0
     limit candidate, which is seeded first so exact ties resolve to it.
@@ -201,7 +212,7 @@ def _spike_search(params, search, evaluate, limit_value):
         nonlocal best_w, best_v
         vals = np.asarray(evaluate(params, xs), dtype=float)
         w, v = refine_local_maxima(
-            lambda x: float(evaluate(params, x)), xs, vals, tol=REFINE_TOL)
+            lambda x: evaluate(params, x), xs, vals, tol=REFINE_TOL)
         if v > best_v:
             best_w, best_v = w, v
             return True

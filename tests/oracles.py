@@ -277,7 +277,8 @@ def refine_every_maximum(f, xs, fs, tol=1e-10):
     """Grid refinement that golden-searches every grid-local maximum.
 
     The form _numerics.refine_local_maxima had before it kept end maxima
-    after one inward probe; same arguments, same return value.
+    after one inward probe and before its batched zoom: same arguments and
+    return value, but f is called on one point (a float) at a time.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)

@@ -156,6 +156,20 @@ class TestBode:
         assert proc.stderr == err
         assert list(tmp_path.iterdir()) == []
 
+    def test_root_underflow_gives_the_low_frequency_limit(self, capsys):
+        # below omega ~ 1e-162 the characteristic root underflows to 0; the
+        # sup gain takes its omega -> 0 limit 1 there
+        args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "1e-300",
+                "--omega-max", "1", "--points", "3", "--scale", "log",
+                "--out", "-"]
+        assert run_main(*args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        header, first = out.splitlines()[:2]
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert row["omega"] == 1e-300
+        assert row["A_sup"] == 1.0
+
     def test_parallel_option_is_gone(self, tmp_path, capsys):
         args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "0.5",
                 "--omega-max", "13", "--points", "4", "--out", "-"]

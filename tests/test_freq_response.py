@@ -6,6 +6,7 @@ against those routes cover randomized parameters.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestSupGain:
             p = DampingParams(sigma, 0.0)
             for omega in np.linspace(0.3, 40.0, 25):
                 assert sup_gain_at(p, omega) <= 1.0 + 1e-12
+
+    def test_limit_value_where_the_root_underflows(self):
+        # a = b = 0 below omega ~ 1e-162: the omega -> 0 limit 1, not 0/0
+        for sigma, mu in [(1.0, 0.0), (0.3, 0.2), (1e-3, 5.0)]:
+            p = DampingParams(sigma, mu)
+            ws = np.array([1e-300, 1e-170, 1e-3, 2.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sup_gain_at(p, ws)
+                assert sup_gain_at(p, 1e-170) == 1.0
+            assert got[:2].tolist() == [1.0, 1.0]
+            assert got.tolist() == [sup_gain_at(p, w) for w in ws]
 
     def test_resonant_spike_pin(self):
         # near the first string resonance the gain is large; pinned value

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as oc
-from wavegain._numerics import refine_local_maxima
-from wavegain.freq_response import DampingParams
+from wavegain._numerics import grid_local_maxima, refine_local_maxima
+from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.gain_bounds import (
     ZETA2,
     FrequencySearchConfig,
@@ -362,7 +362,7 @@ class TestGainBoundsAggregate:
 
 class TestEndpointRefinement:
     """The spike search keeps an end-of-scan maximum after one inward probe
-    when the curve does not rise there, instead of golden-searching it."""
+    when the curve does not rise there, instead of zooming on its cell."""
 
     # acceptance-grid pairs whose L2 curves peak inside the left-end cell of
     # the first window [pi - 0.5, pi + 0.5]; with base_points=16 that cell
@@ -374,6 +374,8 @@ class TestEndpointRefinement:
     DEFAULT_PAIRS = [(1.0, 0.0), (0.05, 0.1), (0.3, 5.0), (0.02, 0.0)]
 
     def test_same_bounds_as_refining_every_maximum(self, monkeypatch):
+        # against golden section on every maximum, ends included: never
+        # lower beyond rounding, and each value is the curve at its argmax
         grid = FrequencySearchConfig(base_points=128, omega_max=30.0)
         coarse = FrequencySearchConfig(base_points=16, omega_max=30.0)
         cases = ([(p, s) for p in self.END_CELL_PEAKS for s in (grid, coarse)]
@@ -384,26 +386,90 @@ class TestEndpointRefinement:
         monkeypatch.setattr(module, "refine_local_maxima",
                             oc.refine_every_maximum)
         for (p, s), (sup, l2) in zip(cases, fast):
-            assert lower_sup(DampingParams(*p), s) == sup, p
-            assert lower_l2(DampingParams(*p), s) == l2, p
+            params = DampingParams(*p)
+            for got, oracle, curve, limit in [
+                    (sup, lower_sup(params, s), sup_gain_at, 1.0),
+                    (l2, lower_l2(params, s),
+                     lambda q, w: l2_stats_at(q, w).Q, INV_SQRT3)]:
+                assert got.value >= oracle.value * (1.0 - 2e-15), p
+                at = (curve(params, got.argmax_omega) if got.argmax_omega
+                      else limit)
+                assert at == got.value, p
 
     @pytest.mark.parametrize("sigma, mu", [(1.0, 1.0), (0.3, 5.0)])
     def test_few_one_frequency_evaluations(self, monkeypatch, sigma, mu):
-        # scans pass arrays; every scalar call is a refinement probe
+        # scans pass whole grids; every call made inside the refinement is
+        # one zoom pass (end-of-scan probes are calls of one frequency)
         module = importlib.import_module("wavegain.gain_bounds")
-        calls = {"sup": 0, "l2": 0}
+        sizes = []
 
-        def counted(name, func):
+        def counting(f, xs, fs, tol):
+            def g(x):
+                sizes.append(np.size(x))
+                return f(x)
+            return refine_local_maxima(g, xs, fs, tol=tol)
+
+        monkeypatch.setattr(module, "refine_local_maxima", counting)
+        for bound in (lower_sup, lower_l2):
+            sizes.clear()
+            bound(DampingParams(sigma, mu))
+            assert 0 < len(sizes) <= 10, bound.__name__
+            assert set(sizes) == {1}, bound.__name__  # flat curves: probes
+
+
+class TestBatchedRefinement:
+    """refine_local_maxima zooms on every bracket of a scan in one call of
+    16 points per bracket and pass."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the evaluate calls the spike search makes, scans included."""
+        module = importlib.import_module("wavegain.gain_bounds")
+        calls = []
+
+        def wrap(func):
             def wrapper(params, w):
-                calls[name] += np.ndim(w) == 0
+                calls.append(np.size(w))
                 return func(params, w)
             return wrapper
 
-        monkeypatch.setattr(module, "sup_gain_at",
-                            counted("sup", module.sup_gain_at))
-        monkeypatch.setattr(module, "l2_stats_at",
-                            counted("l2", module.l2_stats_at))
-        lower_sup(DampingParams(sigma, mu))
-        lower_l2(DampingParams(sigma, mu))
-        assert 0 < calls["sup"] <= 10
-        assert 0 < calls["l2"] <= 10
+        monkeypatch.setattr(module, "sup_gain_at", wrap(module.sup_gain_at))
+        monkeypatch.setattr(module, "l2_stats_at", wrap(module.l2_stats_at))
+        return calls
+
+    @pytest.mark.parametrize("bound, sigma", [(lower_l2, 1e6),
+                                              (lower_sup, 1e-3)])
+    def test_evaluate_call_budget(self, monkeypatch, bound, sigma):
+        # lower_l2(1e6, 0) sits on rounding noise with about 600 grid maxima;
+        # lower_sup(1e-3, 0) zooms on sharp resonance peaks
+        calls = self.counted(monkeypatch)
+        bound(DampingParams(sigma, 0.0))
+        assert 0 < len(calls) <= 60
+
+    @pytest.mark.parametrize("bound, sigma, mu", [(lower_l2, 1e6, 0.0),
+                                                  (lower_sup, 0.05, 0.1),
+                                                  (lower_l2, 0.02, 0.0)])
+    def test_scan_brackets_together_same_bits_as_alone(
+            self, monkeypatch, bound, sigma, mu):
+        # each scan of the search refined as it is, and bracket by bracket
+        # as a scan of its own cell: the same best, bit for bit
+        module = importlib.import_module("wavegain.gain_bounds")
+        scans = []
+
+        def recording(f, xs, fs, tol):
+            out = refine_local_maxima(f, xs, fs, tol=tol)
+            scans.append((f, xs, fs, tol, out))
+            return out
+
+        monkeypatch.setattr(module, "refine_local_maxima", recording)
+        bound(DampingParams(sigma, mu))
+        assert max(np.count_nonzero(grid_local_maxima(fs))
+                   for _, _, fs, _, _ in scans) >= 2
+        for f, xs, fs, tol, together in scans[:3]:
+            best = (float(xs[0]), -math.inf)
+            for i in np.flatnonzero(grid_local_maxima(fs)):
+                cell = slice(max(i - 1, 0), i + 2)
+                x, fx = refine_local_maxima(f, xs[cell], fs[cell], tol=tol)
+                if fx > best[1]:
+                    best = (x, fx)
+            assert together == best
