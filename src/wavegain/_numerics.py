@@ -147,10 +147,10 @@ def refine_local_maxima(f, xs, fs, tol=1e-10):
                 ids, lo, hi, bx, bf = (a[keep] for a in (ids, lo, hi, bx, bf))
         if ends.size:  # after the first pass: each rising end opens
             rising = vals[pts.size:] > best_f[ends]
-            up = ends[rising]
-            ids = np.concatenate([ids, up])
-            lo = np.concatenate([lo, grid_lo[up]])
-            hi = np.concatenate([hi, grid_hi[up]])
+            opened = ends[rising]
+            ids = np.concatenate([ids, opened])
+            lo = np.concatenate([lo, grid_lo[opened]])
+            hi = np.concatenate([hi, grid_hi[opened]])
             bx = np.concatenate([bx, probes[rising]])
             bf = np.concatenate([bf, vals[pts.size:][rising]])
             ends, probes = ends[:0], probes[:0]
