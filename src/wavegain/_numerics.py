@@ -2,6 +2,13 @@
 
 Everything here is deterministic: fixed evaluation orders, fixed tolerances,
 no randomness, no threading. Callers rely on bitwise reproducibility.
+
+The refinement and the adaptive quadrature are batched: their f maps a 1-D
+array of points to the array of their values, and each pass or bisection
+level makes one call of f on the new points of every bracket or panel, so
+numpy's fixed cost per call is paid once per pass, not once per point.
+Brackets and panels never interact: each result is bit for bit the one it
+gets alone.
 """
 
 import math
@@ -188,36 +195,53 @@ def composite_simpson(ys, dx):
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
-    """Deterministic adaptive Simpson quadrature of f on [a, b].
+    """Deterministic adaptive Simpson quadrature of f on a batch of panels.
 
-    Classic bisection on the local error estimate |S2 - S1|/15, processed
-    left to right with an explicit stack so the accumulation order is fixed.
-    tol is an absolute error target for the whole interval, split
-    proportionally to subinterval width.
+    a, b and tol are scalars or 1-D arrays, one entry per panel [a, b]; f
+    maps a 1-D array of points to the array of their values. Classic
+    bisection on the local error estimate: an interval is accepted when
+    |S2 - S1| <= 15 tol or at max_depth, as S2 + (S2 - S1)/15, and split
+    otherwise, each half getting half its tol. tol is an absolute error
+    target for the whole panel, split proportionally to subinterval width.
+
+    The panels are bisected level by level, all together: one call of f on
+    the ends and midpoints of every panel, then one call per level on the
+    two new midpoints of every open interval of every panel. Each panel's
+    result is the sum of its accepted intervals in left-to-right order, so
+    panels never interact: a panel's value is bit for bit the one the
+    classic left-first recursion on that panel alone gives, whenever f
+    returns the same bits. Returns a float for scalar input, else an array.
     """
-    a = float(a)
-    b = float(b)
-    fa, fb = f(a), f(b)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(tol) == 0
+    a, b, tol = (np.array(v, dtype=float, ndmin=1)
+                 for v in np.broadcast_arrays(a, b, tol))
+    n = a.size
     m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total = 0.0
-    # stack entries: (a, fa, m, fm, b, fb, S, tol, depth); LIFO with right
-    # pushed first so the left half is processed first.
-    stack = [(a, fa, m, fm, b, fb, whole, tol, 0)]
-    while stack:
-        a0, fa0, m0, fm0, b0, fb0, s0, tol0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = f(lm)
-        frm = f(rm)
-        sl = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        sr = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        err = sl + sr - s0
-        if depth >= max_depth or abs(err) <= 15.0 * tol0:
-            total += sl + sr + err / 15.0
-        else:
-            half = 0.5 * tol0
-            stack.append((m0, fm0, rm, frm, b0, fb0, sr, half, depth + 1))
-            stack.append((a0, fa0, lm, flm, m0, fm0, sl, half, depth + 1))
-    return total
+    fa, fm, fb = f(np.concatenate([a, m, b])).reshape(3, n)
+    s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    panel = np.arange(n)
+    leaves = []  # (panel, left end, value) of the accepted intervals
+    depth = 0
+    while panel.size:
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        v = f(np.concatenate([lm, rm]))
+        flm, frm = v[:lm.size], v[lm.size:]
+        sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = sl + sr - s
+        done = (np.abs(err) <= 15.0 * tol) | (depth >= max_depth)
+        leaves.append((panel[done], a[done], (sl + sr + err / 15.0)[done]))
+        k = ~done
+        half = 0.5 * tol[k]
+        a, fa, m, fm, b, fb, s, tol, panel = (
+            np.concatenate(pair) for pair in (
+                (a[k], m[k]), (fa[k], fm[k]), (lm[k], rm[k]),
+                (flm[k], frm[k]), (m[k], b[k]), (fm[k], fb[k]),
+                (sl[k], sr[k]), (half, half), (panel[k], panel[k])))
+        depth += 1
+    p, lo, val = (np.concatenate(c) for c in zip(*leaves))
+    order = np.lexsort((lo, p))  # by panel, then left to right
+    # bincount adds each panel's weights in array order, starting from 0.0
+    total = np.bincount(p[order], weights=val[order], minlength=n)
+    return float(total[0]) if scalar else total

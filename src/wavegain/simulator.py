@@ -73,8 +73,9 @@ class SimResult:
     empirical gains are the post-burn-in maxima of the norms divided by the
     disturbance sup-amplitude; both are None when the disturbance is
     identically zero (0/0, "no disturbance"). truncation_tail_estimate
-    bounds what the discarded modes n > N could add to the sup norm in
-    steady state.
+    estimates what the discarded modes n > N could add to the sup norm in
+    steady state; it is not a bound, since for piecewise-linear forcing it
+    does not count the slope jumps at the knots (see _tail_estimate).
     """
 
     t: np.ndarray
@@ -88,13 +89,18 @@ class SimResult:
 
 
 def _tail_estimate(params: DampingParams, d: DisturbanceSpec, n_modes: int) -> float:
-    """Steady-state sup-norm bound on the modes left out of the truncation.
+    """Steady-state sup-norm estimate of the modes left out of the truncation.
 
     After lifting the boundary value, mode n responds with amplitude
     ~ sqrt(2) omega sqrt(omega^2+mu^2) / (n^3 pi^3 sqrt(1+sigma^2 omega^2))
     per unit sinusoidal amplitude (and mu*slope/(n^3 pi^3) per unit slope of
     linear forcing), so the tail sums to O(1/N^2); the factor 2 absorbs the
     subleading terms. Constant forcing is reproduced exactly by the lift.
+
+    An estimate, not a bound: for piecewise-linear forcing it counts only
+    the steady response to each slope, not the slope jumps at the knots,
+    which drive every mode. So it reads 0 at mu = 0, where a square wave's
+    sup gain still moves when modes are added.
     """
     N = float(n_modes)
     if d.kind == "sinusoid":

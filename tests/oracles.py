@@ -5,7 +5,9 @@ mpmath/scipy/cmath and shares no code with the package internals, except
 refine_every_maximum, which keeps an earlier form of the package's grid
 refinement as a reference and calls the package's golden section. The
 implementations are deliberately naive (literal complex arithmetic, dense
-grids, generic quadrature): correctness over speed. Tests compare package
+grids, generic quadrature): correctness over speed. adaptive_simpson_scalar
+likewise keeps the package's one-panel quadrature in its earlier scalar
+form, as the reference for the batched one. Tests compare package
 output against these routes live where cheap, and against frozen values
 produced by them where expensive.
 """
@@ -232,6 +234,45 @@ def kernel_l1_quad(sigma, mu, n, rel_tol=1e-12):
                                     epsabs=1e-15, epsrel=rel_tol)
             panel += val
         total += abs(panel)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# one-panel adaptive quadrature
+# ---------------------------------------------------------------------------
+
+def adaptive_simpson_scalar(f, a, b, tol=1e-12, max_depth=48):
+    """Adaptive Simpson quadrature of a scalar f on one panel [a, b].
+
+    The form _numerics.adaptive_simpson had before it batched its panels:
+    the same tests, tolerance split and leaf value, processed left to right
+    with an explicit stack, calling f on one point (a float) at a time.
+    """
+    a = float(a)
+    b = float(b)
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    total = 0.0
+    # stack entries: (a, fa, m, fm, b, fb, S, tol, depth); LIFO with right
+    # pushed first so the left half is processed first.
+    stack = [(a, fa, m, fm, b, fb, whole, tol, 0)]
+    while stack:
+        a0, fa0, m0, fm0, b0, fb0, s0, tol0, depth = stack.pop()
+        lm = 0.5 * (a0 + m0)
+        rm = 0.5 * (m0 + b0)
+        flm = f(lm)
+        frm = f(rm)
+        sl = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+        sr = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+        err = sl + sr - s0
+        if depth >= max_depth or abs(err) <= 15.0 * tol0:
+            total += sl + sr + err / 15.0
+        else:
+            half = 0.5 * tol0
+            stack.append((m0, fm0, rm, frm, b0, fb0, sr, half, depth + 1))
+            stack.append((a0, fa0, lm, flm, m0, fm0, sl, half, depth + 1))
     return total
 
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles as oc
 from wavegain._numerics import (
     adaptive_simpson,
     composite_simpson,
@@ -86,20 +87,63 @@ class TestCompositeSimpson:
 
 
 class TestAdaptiveSimpson:
+    """f takes a 1-D array of points; a, b and tol may be per-panel arrays."""
+
+    @staticmethod
+    def quintic(x):
+        # + and * only, so numpy arrays and Python floats give the same bits
+        return ((((3.0 * x - 7.0) * x + 2.0) * x + 5.0) * x - 1.0) * x + 0.5
+
     def test_smooth_integrands(self):
-        assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(
+        assert adaptive_simpson(np.exp, 0.0, 1.0) == pytest.approx(
             math.e - 1.0, rel=1e-13)
         assert adaptive_simpson(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0) == \
             pytest.approx(math.pi / 4.0, rel=1e-13)
 
     def test_oscillatory_integrand(self):
-        val = adaptive_simpson(lambda x: math.sin(20.0 * x), 0.0, math.pi,
+        val = adaptive_simpson(lambda x: np.sin(20.0 * x), 0.0, math.pi,
                                tol=1e-13)
         expect = (1.0 - math.cos(20.0 * math.pi)) / 20.0
         assert val == pytest.approx(expect, abs=1e-12)
 
     def test_degenerate_interval(self):
-        assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+        assert adaptive_simpson(np.exp, 1.0, 1.0) == 0.0
+
+    def test_batch_same_bits_as_alone(self):
+        def f(x):
+            return np.sin(3.0 * x) * np.exp(-0.5 * x)
+
+        a = np.array([0.0, 0.7, 2.0, 2.0, 5.0])
+        b = np.array([0.7, 2.0, 2.0, 4.5, 9.0])  # the third is degenerate
+        tol = np.array([1e-12, 1e-10, 1e-12, 1e-13, 1e-11])
+        out = adaptive_simpson(f, a, b, tol=tol)
+        assert isinstance(out, np.ndarray) and out.shape == (5,)
+        alone = [adaptive_simpson(f, *p) for p in zip(a, b, tol)]
+        assert all(isinstance(v, float) for v in alone)
+        assert out.tolist() == alone
+        assert alone[2] == 0.0
+
+    def test_jump_stops_at_max_depth(self):
+        calls = []
+
+        def step(x):
+            calls.append(x.size)
+            return np.where(x < 1.0 / 3.0, 0.0, 1.0)
+
+        val = adaptive_simpson(step, 0.0, 1.0, tol=1e-15, max_depth=20)
+        # one call on the ends and midpoint, then one per level 0..20
+        assert len(calls) == 22
+        assert math.isfinite(val)
+        assert val == pytest.approx(2.0 / 3.0, abs=2.0 ** -20)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
+    def test_polynomial_same_bits_as_scalar_oracle(self, tol):
+        a = [-1.0, 0.0, 0.25, 1.5]
+        b = [0.0, 0.25, 1.5, 4.0]
+        out = adaptive_simpson(self.quintic, a, b, tol=tol)
+        expect = [oc.adaptive_simpson_scalar(self.quintic, lo, hi, tol=tol)
+                  for lo, hi in zip(a, b)]
+        assert out.tolist() == expect
 
 
 class TestRefineLocalMaxima:

@@ -7,6 +7,7 @@ import pytest
 
 from wavegain import cli
 from wavegain import freq_response as fr
+from wavegain import modal as mo
 from wavegain import verify
 from wavegain.verify import SUITE_NAMES, run_suites
 
@@ -66,6 +67,20 @@ class TestDefectDetection:
         worst = float(fields[3])
         tol = float(fields[5].rstrip(","))
         assert math.isfinite(worst) and worst > tol
+
+    def test_corrupted_kernel_caught(self, monkeypatch):
+        # the quadrature side of kernel-l1: K off by 1e-5 relative, ten
+        # times the suite's tolerance
+        real = mo._kernel
+
+        def scaled(params, n):
+            K, rate, zeros = real(params, n)
+            return (lambda tau: K(tau) * (1.0 + 1e-5)), rate, zeros
+
+        monkeypatch.setattr(mo, "_kernel", scaled)
+        (result,) = run_suites(names=["kernel-l1"], seed=0, quick=True)
+        assert not result.passed
+        assert math.isfinite(result.worst) and result.worst > result.tolerance
 
     def test_corrupted_profile_caught(self, monkeypatch):
         real = fr.profile_at
