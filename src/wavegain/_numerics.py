@@ -3,12 +3,9 @@
 Everything here is deterministic: fixed evaluation orders, fixed tolerances,
 no randomness, no threading. Callers rely on bitwise reproducibility.
 
-The refinement and the adaptive quadrature are batched: their f maps a 1-D
-array of points to the array of their values, and each pass or bisection
-level makes one call of f on the new points of every bracket or panel, so
-numpy's fixed cost per call is paid once per pass, not once per point.
-Brackets and panels never interact: each result is bit for bit the one it
-gets alone.
+The refinement and the adaptive quadrature call f once per pass or level
+on the new points of all their brackets or panels; each bracket's or
+panel's result is bit for bit the one it gets alone.
 """
 
 import math
@@ -204,13 +201,12 @@ def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
     otherwise, each half getting half its tol. tol is an absolute error
     target for the whole panel, split proportionally to subinterval width.
 
-    The panels are bisected level by level, all together: one call of f on
-    the ends and midpoints of every panel, then one call per level on the
-    two new midpoints of every open interval of every panel. Each panel's
-    result is the sum of its accepted intervals in left-to-right order, so
-    panels never interact: a panel's value is bit for bit the one the
-    classic left-first recursion on that panel alone gives, whenever f
-    returns the same bits. Returns a float for scalar input, else an array.
+    All panels are bisected level by level: one call of f on the ends and
+    midpoints of every panel, then one per level on the two new midpoints
+    of every open interval. Each panel's result is the sum of its accepted
+    intervals from left to right, so a panel's value is bit for bit the one
+    the left-first recursion on it alone gives, whenever f returns the same
+    bits. Returns a float for scalar input, else an array.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(tol) == 0
     a, b, tol = (np.array(v, dtype=float, ndmin=1)
