@@ -221,8 +221,7 @@ def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
     while panel.size:
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        v = f(np.concatenate([lm, rm]))
-        flm, frm = v[:lm.size], v[lm.size:]
+        flm, frm = f(np.concatenate([lm, rm])).reshape(2, -1)
         sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = sl + sr - s
