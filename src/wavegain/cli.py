@@ -2,10 +2,11 @@
 
 Outputs are plain CSV/JSON with shortest round-trip float formatting, byte
 identical across runs. Flags override an optional key=value config file,
-which overrides built-in defaults. Exit codes: 0 success, 1 verification
-failure, 2 usage, I/O or float-range error, 3 internal error (a computed
-set of bounds broke an ordering that must hold: a bug, reported as one
-`error: internal: ...` line).
+which overrides built-in defaults; `--json`, `--quick` and `--config` are
+flags only. Exit codes: 0 success, 1 verification failure, 2 usage, I/O
+or float-range error, 3 internal error (a computed set of bounds broke an
+ordering that must hold: a bug, reported as one `error: internal: ...`
+line).
 
     wavegain bounds --sigma 1 --mu 1 --json
     wavegain bode --sigma 1e-4 --mu 0.05 --omega-min 0.5 --omega-max 13 \
@@ -16,9 +17,11 @@ set of bounds broke an ordering that must hold: a bug, reported as one
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +39,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+_SCALES = ("linear", "log")
 
 
 def _fmt(x) -> str:
@@ -59,32 +64,9 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge(args: argparse.Namespace, spec: dict) -> dict:
-    """Resolve option values: flag > config file > default."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(spec)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, (cast, default) in spec.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in config:
-            out[key] = cast(config[key])
-        else:
-            out[key] = default
-    return out
-
-
-def _require(merged: dict, *keys):
-    missing = [k for k in keys if merged[k] is None]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise ValueError(f"missing required option(s): {flags}")
-
-
 def _grid(lo: float, hi: float, points: int, scale: str):
+    if scale not in _SCALES:
+        raise ValueError("scale must be linear or log")
     if points < 2:
         raise ValueError("points must be at least 2")
     if not (0.0 < lo < hi):
@@ -198,8 +180,10 @@ def _sidecar_path(out: str) -> str:
     return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
 
 
-def cmd_simulate(sigma, mu, disturbance, out, n_modes=512, t_final=40.0,
-                 dt_output=0.01, x_points=1024, burn_in=None) -> int:
+def cmd_simulate(sigma, mu, disturbance, out, n_modes=SimConfig.n_modes,
+                 t_final=SimConfig.t_final, dt_output=SimConfig.dt_output,
+                 x_points=SimConfig.x_points,
+                 burn_in=SimConfig.burn_in) -> int:
     """Run the time-domain simulation; CSV of norms + JSON gain sidecar."""
     params = DampingParams(sigma, mu)
     config = SimConfig(n_modes=n_modes, t_final=t_final, dt_output=dt_output,
@@ -266,62 +250,115 @@ def cmd_verify(seed=None, quick=False, stream=None) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Opt(NamedTuple):
+    """An option that takes a value, from its flag or a config-file key."""
+    type: type
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+class _Command(NamedTuple):
+    help: str
+    options: dict      # name (flag without "--", "-" as "_") -> _Opt
+    flags: tuple = ()  # (command-line-only switch, its cmd_<command> keyword)
+
+
+_SIGMA = _Opt(float, required=True)
+_MU = _Opt(float, required=True)
+_OUT = _Opt(str, required=True)
+
+# The one declaration of every option: it builds the parser, the config-file
+# merge, the defaults and the required-option check.
+_COMMANDS = {
+    "bounds": _Command(
+        "the four gain bounds at one (sigma, mu)",
+        {"sigma": _SIGMA, "mu": _MU},
+        (("json", "as_json"),)),
+    "bode": _Command(
+        "per-frequency gain curves as CSV",
+        {"sigma": _SIGMA, "mu": _MU,
+         "omega_min": _Opt(float, required=True),
+         "omega_max": _Opt(float, required=True),
+         "points": _Opt(int, 1000),
+         "scale": _Opt(str, "linear", choices=_SCALES),
+         "out": _OUT}),
+    "sweep": _Command(
+        "bounds along a mu axis as CSV",
+        {"sigma": _SIGMA,
+         "mu_min": _Opt(float, 0.0),
+         "mu_max": _Opt(float, required=True),
+         "points": _Opt(int, 81),
+         "out": _OUT}),
+    "simulate": _Command(
+        "time-domain norms as CSV + JSON",
+        {"sigma": _SIGMA, "mu": _MU,
+         "omega": _Opt(float, help="sinusoid frequency"),
+         "amplitude": _Opt(float, 1.0, help="sinusoid amplitude"),
+         "phase": _Opt(float, 0.0, help="sinusoid phase"),
+         "constant": _Opt(float, help="constant level"),
+         "knots": _Opt(str, help="piecewise-linear t:d pairs, e.g. 0:0,1:1"),
+         "n_modes": _Opt(int, SimConfig.n_modes),
+         "t_final": _Opt(float, SimConfig.t_final),
+         "dt_output": _Opt(float, SimConfig.dt_output),
+         "x_points": _Opt(int, SimConfig.x_points),
+         "burn_in": _Opt(float, SimConfig.burn_in),
+         "out": _OUT}),
+    "verify": _Command(
+        "run the cross-validation suites",
+        {"seed": _Opt(int)},
+        (("quick", "quick"),)),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for _COMMANDS, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="wavegain",
         description="Gain bounds and frequency/time response of a boundary-"
                     "disturbed string with Kelvin-Voigt and viscous damping.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, opt in command.options.items():
+            p.add_argument(_flag(key), type=opt.type, choices=opt.choices,
+                           help=opt.help)
+        for flag, dest in command.flags:
+            p.add_argument(_flag(flag), dest=dest, action="store_true")
         p.add_argument("--config", help="key=value file with option defaults")
-
-    p = sub.add_parser("bounds", help="the four gain bounds at one (sigma, mu)")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--json", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("bode", help="per-frequency gain curves as CSV")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--omega-min", type=float, dest="omega_min")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("--scale", choices=["linear", "log"])
-    p.add_argument("--out")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="bounds along a mu axis as CSV")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu-min", type=float, dest="mu_min")
-    p.add_argument("--mu-max", type=float, dest="mu_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="time-domain norms as CSV + JSON")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--omega", type=float, help="sinusoid frequency")
-    p.add_argument("--amplitude", type=float, help="sinusoid amplitude")
-    p.add_argument("--phase", type=float, help="sinusoid phase")
-    p.add_argument("--constant", type=float, help="constant level")
-    p.add_argument("--knots", help="piecewise-linear t:d pairs, e.g. 0:0,1:1")
-    p.add_argument("--n-modes", type=int, dest="n_modes")
-    p.add_argument("--t-final", type=float, dest="t_final")
-    p.add_argument("--dt-output", type=float, dest="dt_output")
-    p.add_argument("--x-points", type=int, dest="x_points")
-    p.add_argument("--burn-in", type=float, dest="burn_in")
-    p.add_argument("--out")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the cross-validation suites")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--quick", action="store_true")
-    add_common(p)
-
     return parser
+
+
+def _merge(args: argparse.Namespace, options: dict) -> dict:
+    """Resolve option values: flag > config file > default."""
+    config = _read_config(args.config) if args.config else {}
+    unknown = set(config) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, opt in options.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            try:
+                value = opt.type(config[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
+        out[key] = opt.default if value is None else value
+    return out
+
+
+def _require(merged: dict, options: dict):
+    missing = [k for k, opt in options.items()
+               if opt.required and merged[k] is None]
+    if missing:
+        flags = ", ".join(_flag(k) for k in missing)
+        raise ValueError(f"missing required option(s): {flags}")
 
 
 def _parse_knots(raw: str):
@@ -336,72 +373,32 @@ def _parse_knots(raw: str):
 
 
 def _make_disturbance(merged: dict) -> DisturbanceSpec:
-    chosen = [k for k in ("omega", "constant", "knots") if merged[k] is not None]
+    """Take the disturbance options out of merged; return their spec."""
+    d = {k: merged.pop(k)
+         for k in ("omega", "amplitude", "phase", "constant", "knots")}
+    chosen = [k for k in ("omega", "constant", "knots") if d[k] is not None]
     if len(chosen) != 1:
         raise ValueError(
             "exactly one of --omega, --constant, --knots selects the "
             f"disturbance; got {chosen or 'none'}")
-    if merged["omega"] is not None:
-        amp = 1.0 if merged["amplitude"] is None else merged["amplitude"]
-        phase = 0.0 if merged["phase"] is None else merged["phase"]
-        return DisturbanceSpec.sinusoid(amp, merged["omega"], phase)
-    if merged["constant"] is not None:
-        return DisturbanceSpec.constant(merged["constant"])
-    return DisturbanceSpec.piecewise_linear(_parse_knots(merged["knots"]))
+    if d["omega"] is not None:
+        return DisturbanceSpec.sinusoid(d["amplitude"], d["omega"], d["phase"])
+    if d["constant"] is not None:
+        return DisturbanceSpec.constant(d["constant"])
+    return DisturbanceSpec.piecewise_linear(_parse_knots(d["knots"]))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        if args.command == "bounds":
-            merged = _merge(args, {
-                "sigma": (float, None), "mu": (float, None)})
-            _require(merged, "sigma", "mu")
-            return cmd_bounds(merged["sigma"], merged["mu"], as_json=args.json)
-
-        if args.command == "bode":
-            merged = _merge(args, {
-                "sigma": (float, None), "mu": (float, None),
-                "omega_min": (float, None), "omega_max": (float, None),
-                "points": (int, 1000), "scale": (str, "linear"),
-                "out": (str, None)})
-            _require(merged, "sigma", "mu", "omega_min", "omega_max", "out")
-            if merged["scale"] not in ("linear", "log"):
-                raise ValueError("scale must be linear or log")
-            return cmd_bode(merged["sigma"], merged["mu"], merged["omega_min"],
-                            merged["omega_max"], merged["points"],
-                            merged["scale"], merged["out"])
-
-        if args.command == "sweep":
-            merged = _merge(args, {
-                "sigma": (float, None), "mu_min": (float, 0.0),
-                "mu_max": (float, None), "points": (int, 81),
-                "out": (str, None)})
-            _require(merged, "sigma", "mu_max", "out")
-            return cmd_sweep(merged["sigma"], merged["mu_min"],
-                             merged["mu_max"], merged["points"],
-                             merged["out"])
-
+        kwargs = _merge(args, command.options)
+        _require(kwargs, command.options)
         if args.command == "simulate":
-            merged = _merge(args, {
-                "sigma": (float, None), "mu": (float, None),
-                "omega": (float, None), "amplitude": (float, None),
-                "phase": (float, None), "constant": (float, None),
-                "knots": (str, None), "n_modes": (int, 512),
-                "t_final": (float, 40.0), "dt_output": (float, 0.01),
-                "x_points": (int, 1024), "burn_in": (float, None),
-                "out": (str, None)})
-            _require(merged, "sigma", "mu", "out")
-            d = _make_disturbance(merged)
-            return cmd_simulate(merged["sigma"], merged["mu"], d,
-                                merged["out"], merged["n_modes"],
-                                merged["t_final"], merged["dt_output"],
-                                merged["x_points"], merged["burn_in"])
-
-        if args.command == "verify":
-            merged = _merge(args, {"seed": (int, None)})
-            return cmd_verify(seed=merged["seed"], quick=args.quick)
+            kwargs["disturbance"] = _make_disturbance(kwargs)
+        for _, dest in command.flags:
+            kwargs[dest] = getattr(args, dest)
+        return globals()[f"cmd_{args.command}"](**kwargs)
     except (ValueError, OSError, ArithmeticError) as exc:
         # ArithmeticError: inputs past the float range, e.g. sigma**2
         # overflowing
@@ -411,4 +408,3 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    raise AssertionError(f"unhandled command {args.command!r}")

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, config precedence, CSV/JSON formats."""
 
+import argparse
+import inspect
 import io
 import json
 import math
@@ -170,6 +172,19 @@ class TestBode:
         assert row["omega"] == 1e-300
         assert row["A_sup"] == 1.0
 
+    def test_scale_checked_by_grid(self, tmp_path, capsys):
+        # a bad scale is refused by the grid itself, from a direct call and
+        # from a config file (argparse's choices cover only the flag)
+        with pytest.raises(ValueError, match="^scale must be linear or log$"):
+            cli.cmd_bode(1, 0, 1, 100, 3, "LOG", "-")
+        assert capsys.readouterr().out == ""
+        conf = tmp_path / "conf.ini"
+        conf.write_text("scale = LOG\n")
+        assert run_main("bode", "--sigma", "1", "--mu", "0", "--omega-min",
+                        "1", "--omega-max", "100", "--points", "3",
+                        "--out", "-", "--config", str(conf)) == 2
+        assert capsys.readouterr() == ("", "error: scale must be linear or log\n")
+
     def test_parallel_option_is_gone(self, tmp_path, capsys):
         args = ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "0.5",
                 "--omega-max", "13", "--points", "4", "--out", "-"]
@@ -316,7 +331,107 @@ class TestVerifyCommand:
         assert "[seed 7, quick]" in capsys.readouterr().out
 
 
+def record_calls(monkeypatch, command):
+    """Stand in for cli.cmd_<command>; each call appends its arguments by
+    parameter name, the disturbance spread into the options it came from."""
+    real = getattr(cli, f"cmd_{command}")
+    calls = []
+
+    def fake(*args, **kwargs):
+        got = inspect.signature(real).bind(*args, **kwargs).arguments
+        d = got.pop("disturbance", None)
+        if d is not None and d.kind == "sinusoid":
+            got.update(omega=d.omega, amplitude=d.amplitude, phase=d.phase)
+        elif d is not None and d.kind == "constant":
+            got["constant"] = d.level
+        elif d is not None:
+            got["knots"] = ",".join(f"{t!r}:{v!r}" for t, v in d.knots)
+        calls.append(got)
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", fake)
+    return calls
+
+
+REQUIRED = object()  # no default: the run without a file passes the flag
+SIGMA = (1.5, 2.5, REQUIRED)
+MU = (0.5, 0.25, REQUIRED)
+OUT = ("a.csv", "b.csv", REQUIRED)
+
+# per subcommand: every option that takes a value, as
+# (flag value, config-file value, default); simulate once per disturbance
+VALUE_OPTIONS = [
+    ("bounds", {"sigma": SIGMA, "mu": MU}),
+    ("bode", {"sigma": SIGMA, "mu": MU, "omega_min": (0.5, 0.75, REQUIRED),
+              "omega_max": (13.0, 14.0, REQUIRED), "points": (5, 6, 1000),
+              "scale": ("linear", "log", "linear"), "out": OUT}),
+    ("sweep", {"sigma": SIGMA, "mu_min": (0.5, 0.75, 0.0),
+               "mu_max": (3.0, 4.0, REQUIRED), "points": (5, 6, 81),
+               "out": OUT}),
+    ("simulate", {"sigma": SIGMA, "mu": MU, "omega": (5.0, 6.0, REQUIRED),
+                  "amplitude": (2.0, 3.0, 1.0), "phase": (0.5, 0.75, 0.0),
+                  "n_modes": (8, 16, 512), "t_final": (1.0, 2.0, 40.0),
+                  "dt_output": (0.5, 0.25, 0.01), "x_points": (64, 128, 1024),
+                  "burn_in": (0.5, 0.25, None), "out": OUT}),
+    ("simulate", {"sigma": SIGMA, "mu": MU, "constant": (2.0, 3.0, REQUIRED),
+                  "out": OUT}),
+    ("simulate", {"sigma": SIGMA, "mu": MU, "out": OUT,
+                  "knots": ("0.0:0.0,1.0:1.0", "0.0:1.0,2.0:0.0", REQUIRED)}),
+    ("verify", {"seed": (7, 8, None)}),
+]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, options", VALUE_OPTIONS,
+        ids=["bounds", "bode", "sweep", "simulate-sinusoid",
+             "simulate-constant", "simulate-knots", "verify"])
+    def test_every_value_option_from_file(self, command, options, tmp_path,
+                                          monkeypatch):
+        calls = record_calls(monkeypatch, command)
+        conf = tmp_path / "conf.ini"
+        conf.write_text("".join(f"{key.replace('_', '-')} = {file_val}\n"
+                                for key, (_, file_val, _) in options.items()))
+
+        def flags(keys):
+            return [arg for key in keys
+                    for arg in ("--" + key.replace("_", "-"),
+                                str(options[key][0]))]
+
+        required = [k for k, (_, _, d) in options.items() if d is REQUIRED]
+        assert run_main(command, "--config", str(conf)) == 0
+        assert run_main(command, "--config", str(conf), *flags(options)) == 0
+        assert run_main(command, *flags(required)) == 0
+        from_file, from_flags, defaults = calls
+        for key, (flag_val, file_val, default) in options.items():
+            if default is REQUIRED:
+                default = flag_val
+            for got, want in ((from_file, file_val), (from_flags, flag_val),
+                              (defaults, default)):
+                assert (key, got[key], type(got[key])) == (key, want,
+                                                           type(want))
+
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys):
+        conf = tmp_path / "conf.ini"
+        conf.write_text("points = 1e3\n")
+        assert run_main("bode", "--sigma", "1", "--mu", "0", "--omega-min",
+                        "1", "--omega-max", "2", "--out", "-",
+                        "--config", str(conf)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {conf}: points: invalid literal for int() with "
+                "base 10: '1e3'\n")
+
+    @pytest.mark.parametrize("command, key", [
+        ("bounds", "json"), ("verify", "quick"), ("verify", "config")])
+    def test_flags_only_switches_not_config_keys(self, command, key,
+                                                 tmp_path, capsys):
+        conf = tmp_path / "conf.ini"
+        conf.write_text(f"{key} = 1\n")
+        args = ["--sigma", "1", "--mu", "1"] if command == "bounds" else []
+        assert run_main(command, *args, "--config", str(conf)) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown config keys: ['{key}']\n")
+
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         conf = tmp_path / "conf.ini"
         conf.write_text("# defaults for a spike hunt\n"
@@ -357,6 +472,45 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main(["nosuch"])
         assert exc.value.code == 2
+
+    def test_option_strings_per_subcommand(self):
+        sub, = [a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        expected = {
+            "bounds": ["--sigma", "--mu", "--json"],
+            "bode": ["--sigma", "--mu", "--omega-min", "--omega-max",
+                     "--points", "--scale", "--out"],
+            "sweep": ["--sigma", "--mu-min", "--mu-max", "--points", "--out"],
+            "simulate": ["--sigma", "--mu", "--omega", "--amplitude",
+                         "--phase", "--constant", "--knots", "--n-modes",
+                         "--t-final", "--dt-output", "--x-points",
+                         "--burn-in", "--out"],
+            "verify": ["--seed", "--quick"],
+        }
+        assert list(sub.choices) == list(expected)
+        for name, flags in expected.items():
+            actions = sub.choices[name]._actions
+            assert [s for a in actions for s in a.option_strings] == [
+                "-h", "--help", *flags, "--config"]
+        scale, = [a for a in sub.choices["bode"]._actions
+                  if a.dest == "scale"]
+        assert list(scale.choices) == ["linear", "log"]
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        args = ["bounds", "--sigma", "2", "--mu", "1"]
+        assert run_main(*args) == 0
+        built.clear()
+        for _ in range(3):
+            assert run_main(*args) == 0
+        assert built == []
 
     def test_module_entry_point(self):
         proc = subprocess.run(
