@@ -17,7 +17,7 @@ _INVPHI = 2.0 / (1.0 + math.sqrt(5.0))
 # Interior points per bracket and pass of refine_local_maxima, and their
 # places as fractions of the bracket: j/17 for j = 1..16
 ZOOM_POINTS = 16
-_ZOOM_STEPS = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+_ZOOM_STEPS = tuple(j / (ZOOM_POINTS + 1) for j in range(1, ZOOM_POINTS + 1))
 
 
 def scaled_cosh_minus_cos(z, w):
@@ -112,54 +112,48 @@ def refine_local_maxima(f, xs, fs, tol=1e-10):
     bracket's result is bit for bit the one it gets refined alone. Returns
     (x_best, f_best).
     """
-    xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    idx = np.flatnonzero(grid_local_maxima(fs))
-    last = xs.size - 1
-    grid_lo = xs[np.maximum(idx - 1, 0)]
-    grid_hi = xs[np.minimum(idx + 1, last)]
-    best_x, best_f = xs[idx], fs[idx]  # each maximum's result
-    live = grid_hi - grid_lo > tol
-    at_end = live & ((idx == 0) | (idx == last))
-    ends = np.flatnonzero(at_end)
-    probes = best_x[ends] + np.where(idx[ends] == 0, tol, -tol)
-    # the open brackets: which maximum, their ends and best sample so far
-    ids = np.flatnonzero(live & ~at_end)
-    lo, hi, bx, bf = grid_lo[ids], grid_hi[ids], best_x[ids], best_f[ids]
-    while ids.size or ends.size:
-        width = hi - lo
-        pts = lo[:, None] + width[:, None] * _ZOOM_STEPS
-        vals = np.fmax(f(np.concatenate([pts.ravel(), probes])), -math.inf)
-        if ids.size:  # a pass of end probes alone skips this
-            v = vals[:pts.size].reshape(pts.shape)
-            r = np.arange(ids.size)
-            j = np.argmax(v, axis=1)  # of equal new samples, the smaller x
-            xj, fj = pts[r, j], v[r, j]
-            up = (fj > bf) | ((fj == bf) & (xj < bx))
-            sx = np.concatenate([lo[:, None], bx[:, None], pts, hi[:, None]],
-                                axis=1)
-            bx, bf = np.where(up, xj, bx), np.where(up, fj, bf)
+    peaks = np.flatnonzero(grid_local_maxima(fs)).tolist()
+    xs, fs = np.asarray(xs, dtype=float).tolist(), fs.tolist()
+    last = len(xs) - 1
+    best = [[xs[i], fs[i]] for i in peaks]  # in increasing x
+    brackets = []  # ([x, f] of a maximum, lo, hi) of each open bracket
+    probes = []    # ([x, f], lo, hi, probe point) of each end maximum
+    for b, i in zip(best, peaks):
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, last)]
+        if not hi - lo > tol:
+            continue
+        if 0 < i < last:
+            brackets.append((b, lo, hi))
+        else:
+            probes.append((b, lo, hi, b[0] + tol if i == 0 else b[0] - tol))
+    while brackets or probes:
+        pts = [lo + (hi - lo) * s
+               for _, lo, hi in brackets for s in _ZOOM_STEPS]
+        vals = np.fmax(f(np.array(pts + [p[3] for p in probes])),
+                       -math.inf).tolist()  # NaN counts as -inf
+        still_open = []
+        for k, (b, lo, hi) in enumerate(brackets):
+            row = slice(k * ZOOM_POINTS, (k + 1) * ZOOM_POINTS)
+            new_x, new_f = pts[row], vals[row]
+            fj = max(new_f)
+            xj = new_x[new_f.index(fj)]  # of equal new samples, the smaller x
+            # the previous best stays a candidate neighbour of the new one
+            samples = [lo, b[0], *new_x, hi]
+            if fj > b[1] or (fj == b[1] and xj < b[0]):
+                b[:] = xj, fj
             # the new bracket: the nearest samples below and above the best
-            below, above = sx < bx[:, None], sx > bx[:, None]
-            lo = np.max(sx, axis=1, initial=-math.inf, where=below)
-            hi = np.min(sx, axis=1, initial=math.inf, where=above)
-            shrunk = hi - lo
-            keep = (shrunk > tol) & (shrunk < width)
-            if not keep.all():
-                done = ids[~keep]
-                best_x[done], best_f[done] = bx[~keep], bf[~keep]
-                ids, lo, hi, bx, bf = (a[keep] for a in (ids, lo, hi, bx, bf))
-        if ends.size:  # after the first pass: each rising end opens
-            rising = vals[pts.size:] > best_f[ends]
-            opened = ends[rising]
-            ids = np.concatenate([ids, opened])
-            lo = np.concatenate([lo, grid_lo[opened]])
-            hi = np.concatenate([hi, grid_hi[opened]])
-            bx = np.concatenate([bx, probes[rising]])
-            bf = np.concatenate([bf, vals[pts.size:][rising]])
-            ends, probes = ends[:0], probes[:0]
-    x_best, f_best = float(xs[0]), -math.inf
-    for x, fx in zip(best_x.tolist(), best_f.tolist()):
+            new_lo = max((s for s in samples if s < b[0]), default=-math.inf)
+            new_hi = min((s for s in samples if s > b[0]), default=math.inf)
+            if tol < new_hi - new_lo < hi - lo:
+                still_open.append((b, new_lo, new_hi))
+        for (b, lo, hi, p), v in zip(probes, vals[len(pts):]):
+            if v > b[1]:  # a rising end opens its cell, the probe its best
+                b[:] = p, v
+                still_open.append((b, lo, hi))
+        brackets, probes = still_open, []
+    x_best, f_best = xs[0], -math.inf
+    for x, fx in best:
         # strict improvement only: candidates come in increasing x, so ties
         # keep the smaller-x maximizer
         if fx > f_best:

@@ -3,10 +3,10 @@
 Outputs are plain CSV/JSON with shortest round-trip float formatting, byte
 identical across runs. Flags override an optional key=value config file,
 which overrides built-in defaults; `--json`, `--quick` and `--config` are
-flags only. Exit codes: 0 success, 1 verification failure, 2 usage, I/O
-or float-range error, 3 internal error (a computed set of bounds broke an
-ordering that must hold: a bug, reported as one `error: internal: ...`
-line).
+flags only. Exit codes: 0 success, 1 verification failure, 2 usage, I/O,
+float-range or out-of-memory error, 3 internal error (a computed set of
+bounds broke an ordering that must hold: a bug, reported as one
+`error: internal: ...` line).
 
     wavegain bounds --sigma 1 --mu 1 --json
     wavegain bode --sigma 1e-4 --mu 0.05 --omega-min 0.5 --omega-max 13 \
@@ -155,9 +155,9 @@ def cmd_sweep(sigma, mu_min, mu_max, points, out, search=None) -> int:
     """Bounds along a mu axis at fixed sigma, as CSV."""
     if points < 2:
         raise ValueError("points must be at least 2")
-    if not (0.0 <= mu_min < mu_max):
-        raise ValueError(f"mu range must satisfy 0 <= min < max, "
-                         f"got [{mu_min}, {mu_max}]")
+    if not (0.0 <= mu_min < mu_max < math.inf):
+        raise ValueError(f"mu range must be finite and satisfy "
+                         f"0 <= min < max, got [{mu_min}, {mu_max}]")
     step = (mu_max - mu_min) / (points - 1)
     mus = [mu_min + i * step for i in range(points)]
     mus[-1] = mu_max
@@ -404,6 +404,11 @@ def main(argv=None) -> int:
         # overflowing
         kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a grid or run too large to allocate; Python's own carries no text
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -73,6 +73,14 @@ def _near_critical(k, npi):
 # disturbance description
 # ---------------------------------------------------------------------------
 
+def _finite(name, value):
+    """value as a float; ValueError naming it when it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"disturbance {name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Boundary disturbance d(t): sinusoid, constant, or piecewise linear.
@@ -92,16 +100,17 @@ class DisturbanceSpec:
     def sinusoid(cls, amplitude, omega, phase=0.0):
         if not (math.isfinite(omega) and omega > 0.0):
             raise ValueError(f"sinusoid omega must be positive, got {omega!r}")
-        return cls(kind="sinusoid", amplitude=float(amplitude),
-                   omega=float(omega), phase=float(phase))
+        return cls(kind="sinusoid", amplitude=_finite("amplitude", amplitude),
+                   omega=float(omega), phase=_finite("phase", phase))
 
     @classmethod
     def constant(cls, level):
-        return cls(kind="constant", level=float(level))
+        return cls(kind="constant", level=_finite("constant level", level))
 
     @classmethod
     def piecewise_linear(cls, knots):
-        pts = tuple((float(t), float(d)) for t, d in knots)
+        pts = tuple((_finite("knot time", t), _finite("knot value", d))
+                    for t, d in knots)
         if len(pts) < 1:
             raise ValueError("piecewise-linear table needs at least one knot")
         ts = [t for t, _ in pts]

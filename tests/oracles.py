@@ -7,7 +7,9 @@ refinement as a reference and calls the package's golden section. The
 implementations are deliberately naive (literal complex arithmetic, dense
 grids, generic quadrature): correctness over speed. adaptive_simpson_scalar
 likewise keeps the package's one-panel quadrature in its earlier scalar
-form, as the reference for the batched one. Tests compare package
+form, as the reference for the batched one, and
+refine_local_maxima_arrays keeps the package's zoom in its earlier array
+form, as the reference for the plain-record one. Tests compare package
 output against these routes live where cheap, and against frozen values
 produced by them where expensive.
 """
@@ -19,7 +21,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, optimize
 
-from wavegain._numerics import golden_max, grid_local_maxima
+from wavegain._numerics import ZOOM_POINTS, golden_max, grid_local_maxima
 
 SQRT2 = math.sqrt(2.0)
 
@@ -338,6 +340,74 @@ def refine_every_maximum(f, xs, fs, tol=1e-10):
         if fx > best_f:
             best_x, best_f = x, fx
     return best_x, best_f
+
+
+# places of the zoom's samples in a bracket, as fractions: j/17, j = 1..16
+_ZOOM_STEPS = np.arange(1, ZOOM_POINTS + 1) / (ZOOM_POINTS + 1)
+
+
+def refine_local_maxima_arrays(f, xs, fs, tol=1e-10):
+    """refine_local_maxima in the array form the package had before it kept
+    one plain record per bracket: the same zoom, kept here as the reference
+    for the package's results and for the arrays it passes to f.
+
+    Each pass holds the open brackets as parallel arrays (maximum, ends,
+    best sample), takes the neighbours of each best by masked reductions
+    and compacts the arrays as brackets close.
+    """
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    idx = np.flatnonzero(grid_local_maxima(fs))
+    last = xs.size - 1
+    grid_lo = xs[np.maximum(idx - 1, 0)]
+    grid_hi = xs[np.minimum(idx + 1, last)]
+    best_x, best_f = xs[idx], fs[idx]  # each maximum's result
+    live = grid_hi - grid_lo > tol
+    at_end = live & ((idx == 0) | (idx == last))
+    ends = np.flatnonzero(at_end)
+    probes = best_x[ends] + np.where(idx[ends] == 0, tol, -tol)
+    # the open brackets: which maximum, their ends and best sample so far
+    ids = np.flatnonzero(live & ~at_end)
+    lo, hi, bx, bf = grid_lo[ids], grid_hi[ids], best_x[ids], best_f[ids]
+    while ids.size or ends.size:
+        width = hi - lo
+        pts = lo[:, None] + width[:, None] * _ZOOM_STEPS
+        vals = np.fmax(f(np.concatenate([pts.ravel(), probes])), -math.inf)
+        if ids.size:  # a pass of end probes alone skips this
+            v = vals[:pts.size].reshape(pts.shape)
+            r = np.arange(ids.size)
+            j = np.argmax(v, axis=1)  # of equal new samples, the smaller x
+            xj, fj = pts[r, j], v[r, j]
+            up = (fj > bf) | ((fj == bf) & (xj < bx))
+            sx = np.concatenate([lo[:, None], bx[:, None], pts, hi[:, None]],
+                                axis=1)
+            bx, bf = np.where(up, xj, bx), np.where(up, fj, bf)
+            # the new bracket: the nearest samples below and above the best
+            below, above = sx < bx[:, None], sx > bx[:, None]
+            lo = np.max(sx, axis=1, initial=-math.inf, where=below)
+            hi = np.min(sx, axis=1, initial=math.inf, where=above)
+            shrunk = hi - lo
+            keep = (shrunk > tol) & (shrunk < width)
+            if not keep.all():
+                done = ids[~keep]
+                best_x[done], best_f[done] = bx[~keep], bf[~keep]
+                ids, lo, hi, bx, bf = (a[keep] for a in (ids, lo, hi, bx, bf))
+        if ends.size:  # after the first pass: each rising end opens
+            rising = vals[pts.size:] > best_f[ends]
+            opened = ends[rising]
+            ids = np.concatenate([ids, opened])
+            lo = np.concatenate([lo, grid_lo[opened]])
+            hi = np.concatenate([hi, grid_hi[opened]])
+            bx = np.concatenate([bx, probes[rising]])
+            bf = np.concatenate([bf, vals[pts.size:][rising]])
+            ends, probes = ends[:0], probes[:0]
+    x_best, f_best = float(xs[0]), -math.inf
+    for x, fx in zip(best_x.tolist(), best_f.tolist()):
+        # strict improvement only: candidates come in increasing x, so ties
+        # keep the smaller-x maximizer
+        if fx > f_best:
+            x_best, f_best = x, fx
+    return x_best, f_best
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,52 @@ class TestSweep:
                         "--mu-max", "1", "--points", "3", "--out", "-") == 2
 
 
+class TestCleanUsageErrors:
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 763. MiB"),
+         "error: MemoryError: Unable to allocate 763. MiB\n"),
+        (MemoryError(), "error: MemoryError: out of memory\n")])
+    @pytest.mark.parametrize("command, site", [
+        (["bode", "--sigma", "1", "--mu", "0", "--omega-min", "1",
+          "--omega-max", "2", "--points", "100000000", "--out", "-"], "_grid"),
+        (["sweep", "--sigma", "1", "--mu-max", "1", "--points", "3",
+          "--out", "-"], "gain_bounds")], ids=["bode", "sweep"])
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch,
+                                                 command, site, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, site, exhausted)
+        assert run_main(*command) == 2
+        assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("options, line", [
+        (["simulate", "--omega", "1", "--amplitude", "inf"],
+         "disturbance amplitude must be finite, got inf"),
+        (["simulate", "--omega", "1", "--phase", "nan"],
+         "disturbance phase must be finite, got nan"),
+        (["simulate", "--constant", "nan"],
+         "disturbance constant level must be finite, got nan"),
+        (["simulate", "--knots", "0:0,nan:1"],
+         "disturbance knot time must be finite, got nan"),
+        (["simulate", "--knots", "0:0,1:-inf"],
+         "disturbance knot value must be finite, got -inf"),
+        (["sweep", "--mu-max", "inf", "--points", "3"],
+         "mu range must be finite and satisfy 0 <= min < max, "
+         "got [0.0, inf]"),
+    ], ids=["amplitude", "phase", "constant", "knot-time", "knot-value",
+            "mu-max"])
+    def test_non_finite_value_named_in_one_line(self, options, line):
+        # a fresh process, so that numpy warnings would show on stderr
+        mu = [] if options[0] == "sweep" else ["--mu", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegain", options[0], "--sigma", "1",
+             *mu, *options[1:], "--out", "-"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {line}\n"
+
+
 class TestSimulate:
     def test_sinusoid_with_sidecar(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles as oc
 from wavegain._numerics import (
@@ -274,3 +275,52 @@ class TestRefineLocalMaxima:
         bound = math.ceil(math.log(width / tol) / math.log(17.0 / 2.0)) + 1
         assert 0 < len(calls) <= bound
         assert all(c.size % 16 in (0, 1) for c in calls)
+
+    @settings(max_examples=300)
+    @given(case=st.data(), tol=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+    def test_same_bits_and_calls_as_array_form(self, case, tol):
+        # the plain-record zoom against its earlier array form: the same
+        # (x, f) bits and the same arrays passed to f, pass by pass
+        draw = case.draw
+        n = draw(st.integers(2, 200), label="points")
+        a = draw(st.floats(-10.0, 10.0), label="start")
+        span = 10.0 ** draw(st.floats(-6.0, 2.0), label="log10 span")
+        if draw(st.booleans(), label="uniform"):
+            xs = np.linspace(a, a + span, n)
+        else:
+            gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
+                                 max_size=n - 1), label="gaps")
+            xs = a + span * np.concatenate([[0.0], np.cumsum(gaps)]) / sum(gaps)
+            assume(np.all(np.diff(xs) > 0.0))
+        # lobes narrow and wide, centred up to a tenth of the span past
+        # either end, and a slope that can put the maximum at an end
+        lobes = draw(st.lists(st.tuples(
+            st.floats(-0.1, 1.1), st.floats(-4.0, 0.0), st.floats(-1.0, 2.0)),
+            min_size=0, max_size=4), label="lobes (place, log10 width, height)")
+        slope = draw(st.floats(-2.0, 2.0), label="slope")
+        digits = draw(st.sampled_from([None, 1, 3, 8, 14]), label="rounding")
+        nan_band = draw(st.none() | st.tuples(st.floats(0.0, 1.0),
+                                              st.floats(0.0, 0.3)),
+                        label="NaN band (place, width)")
+
+        def f(x):
+            u = (np.asarray(x, dtype=float) - a) / span
+            y = slope * u
+            for c, log_w, h in lobes:
+                y = y + h / (1.0 + ((u - c) / 10.0 ** log_w) ** 2)
+            if digits is not None:  # plateaus and ties
+                y = np.round(y, digits)
+            if nan_band is not None:
+                y = np.where(np.abs(u - nan_band[0]) <= nan_band[1], np.nan, y)
+            return y
+
+        fs = f(xs)
+        new, new_calls = self.counting(f)
+        old, old_calls = self.counting(f)
+        got = refine_local_maxima(new, xs, fs, tol=tol)
+        want = oc.refine_local_maxima_arrays(old, xs, fs, tol=tol)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert len(new_calls) == len(old_calls)
+        for c_new, c_old in zip(new_calls, old_calls):
+            assert c_new.dtype == c_old.dtype == np.float64
+            assert c_new.tobytes() == c_old.tobytes()
