@@ -6,11 +6,13 @@ PDE into decoupled second-order ODEs
         = n pi sqrt(2) (sigma d'(t) + d(t)).
 Every per-mode quantity starts from one table, _mode_table: n*pi, the half
 damping k_n = (mu + n^2 pi^2 sigma)/2 and the split k_n^2 - n^2 pi^2, whose
-sign gives the regime. On it sit the per-mode transfer function, the L1 norm
-of the forced-response kernel (the independent check on the series
-amplification factors), the decay rates, and the exact stepper: a propagator
-and a particular solution for sinusoidal, constant and linear boundary
-forcing, both evaluated for a whole array of modes at once.
+sign gives the regime. On it sit the per-mode transfer function, the decay
+rates and each regime's free flow (C, S) = e^{-kt} (cosh rt, sinh(rt)/r),
+written once. The exact stepper is built on the flow: a propagator and a
+particular solution for sinusoidal, constant and linear boundary forcing,
+both evaluated for a whole array of modes at once. So is the forcing kernel,
+the flow's impulse response, whose L1 norm by quadrature is the independent
+check on the closed-form series amplification factors.
 """
 
 import math
@@ -193,68 +195,78 @@ def _transfer_array(params: DampingParams, ns: np.ndarray, omega: float) -> np.n
 
 
 # ---------------------------------------------------------------------------
+# free flow: C = e^{-kt} cosh(r t), S = e^{-kt} sinh(r t)/r, r = sqrt(disc)
+# ---------------------------------------------------------------------------
+
+def _flow_series(k, q, t):
+    """(C, S) from the joint series in q = disc t^2; for |q| small."""
+    ek = np.exp(-k * t)
+    C = ek * (1.0 + q * (0.5 + q * (1.0 / 24.0 + q / 720.0)))
+    S = ek * t * (1.0 + q * (1.0 / 6.0 + q * (1.0 / 120.0 + q / 5040.0)))
+    return C, S
+
+
+def _flow_over(k, r, t):
+    """(C, S) of an overdamped mode, split r, in nonpositive exponents."""
+    eslow = np.exp(-(k - r) * t)
+    efactor = np.expm1(-2.0 * r * t)
+    return eslow * (1.0 + 0.5 * efactor), -0.5 * eslow * efactor / r
+
+
+def _flow_under(k, wn, t):
+    """(C, S) of an underdamped mode of frequency wn."""
+    ek = np.exp(-k * t)
+    return ek * np.cos(wn * t), ek * np.sin(wn * t) / wn
+
+
+# ---------------------------------------------------------------------------
 # forced-response kernel and its L1 norm
 # ---------------------------------------------------------------------------
 
 def _kernel(params: DampingParams, n: int):
-    """Closed-form forcing kernel K(tau) and its sign-change abscissae.
+    """Forcing kernel K(tau) of mode n and its sign-change abscissae.
 
     Returns (K, decay_rate, zeros) where g_n(t) = int_0^t K(t-s) d(s) ds,
     decay_rate is the envelope exponent and zeros lists the positive roots
     of K (analytic, so |K| can be integrated panel by panel without kinks).
-    K maps an array of tau to the array of its values. Near-critical modes
-    use the critical form.
+    K maps an array of tau to the array of its values. It is read off the
+    mode's free flow, the stepper's (C, S): K = n pi sqrt(2) (sigma P11 + P01)
+    = n pi sqrt(2) (sigma C + (1 - sigma k) S). Near-critical modes take the
+    flow's joint series, which holds over the whole horizon there.
     """
     n = _check_mode_index(n)
     sigma = params.sigma
     npi, k, disc = map(float, _mode_table(params, n))
-
-    if _near_critical(k, npi):
-        c1 = sigma
-        c2 = 1.0 - sigma * k
-
-        def K(tau):
-            return npi * SQRT2 * (c1 + c2 * tau) * np.exp(-k * tau)
-
-        zeros = []
-        if c2 < 0.0:
-            zeros.append(-c1 / c2)
-        return K, k, zeros
-
-    if disc > 0.0:
-        r = math.sqrt(disc)
-        cp = sigma * (k + r) - 1.0
-        cm = 1.0 - sigma * (k - r)
-        pref = npi / (r * SQRT2)
-
-        def K(tau):
-            return pref * (cp * np.exp(-(k + r) * tau)
-                           + cm * np.exp(-(k - r) * tau))
-
-        zeros = []
-        if cp != 0.0:
-            ratio = -cm / cp
-            if ratio > 0.0:
-                t0 = -math.log(ratio) / (2.0 * r)
-                if t0 > 0.0:
-                    zeros.append(t0)
-        return K, k - r, zeros
-
-    # underdamped: prefactor * (sigma wn cos + (1 - sigma k) sin) e^{-k tau}
-    # = prefactor * R sin(wn tau + phi) e^{-k tau}
-    wn = math.sqrt(-disc)
-    amp = math.hypot(sigma * wn, 1.0 - sigma * k)
-    phi = math.atan2(sigma * wn, 1.0 - sigma * k)
-    pref = npi * SQRT2 / wn
+    b = 1.0 - sigma * k
+    c1, c2 = npi * SQRT2 * sigma, npi * SQRT2 * b
+    near = _near_critical(k, npi)
+    if near:
+        rate = k
+        zeros = [-sigma / b] if b < 0.0 else []
+    elif disc > 0.0:
+        flow, root = _flow_over, math.sqrt(disc)
+        rate = k - root
+        cp, cm = sigma * (k + root) - 1.0, 1.0 - sigma * (k - root)
+        ratio = -cm / cp if cp != 0.0 else 0.0
+        t0 = -math.log(ratio) / (2.0 * root) if ratio > 0.0 else 0.0
+        zeros = [t0] if t0 > 0.0 else []
+    else:
+        # root = omega_n; omega_n (sigma C + b S) = R sin(omega_n tau + phi) e^{-k tau}
+        flow, root = _flow_under, math.sqrt(-disc)
+        rate = k
+        phi = math.atan2(sigma * root, b)
+        jmax = int(math.floor((root * (40.0 / k) + phi) / math.pi))
+        zeros = [(j * math.pi - phi) / root for j in range(1, jmax + 1)]
+        zeros = [z for z in zeros if z > 0.0]
 
     def K(tau):
-        return pref * amp * np.sin(wn * tau + phi) * np.exp(-k * tau)
+        if near:
+            C, S = _flow_series(k, disc * tau * tau, tau)
+        else:
+            C, S = flow(k, root, tau)
+        return c1 * C + c2 * S
 
-    horizon = 40.0 / k
-    jmax = int(math.floor((wn * horizon + phi) / math.pi))
-    zeros = [(j * math.pi - phi) / wn for j in range(1, jmax + 1)]
-    zeros = [z for z in zeros if z > 0.0]
-    return K, k, zeros
+    return K, rate, zeros
 
 
 def modal_kernel_l1(params: DampingParams, n: int) -> float:
@@ -263,13 +275,22 @@ def modal_kernel_l1(params: DampingParams, n: int) -> float:
     Deterministic adaptive Simpson on panels delimited by the kernel's
     analytic zeros (K is one-signed per panel, so |panel integral| equals the
     panel integral of |K|), truncated where the exponential envelope falls
-    below 1e-16 of its peak. All panels go to one batched adaptive_simpson
-    call, each with its share of the error budget, and their absolute values
-    are summed in panel order. Absolute error below 1e-10.
+    below 1e-16 of its peak. The first panel is cut further at 1/f, 4/f,
+    16/f, ... with f = k + max(r, 0) the fast rate, so the boundary layer of a
+    strongly overdamped mode at tau = 0 gets panels of its own width. All
+    panels go to one batched adaptive_simpson call, each with its share of
+    the error budget, and their absolute values are summed in panel order.
+    Absolute error below 1e-10.
     """
     K, rate, zeros = _kernel(params, n)
     horizon = 40.0 / rate  # e^{-40} ~ 4e-18, margin for polynomial factors
-    pts = [0.0] + [z for z in zeros if z < horizon] + [horizon]
+    breaks = [z for z in zeros if z < horizon] + [horizon]
+    _, k, disc = map(float, _mode_table(params, n))
+    step, pts = 1.0 / (k + math.sqrt(max(disc, 0.0))), [0.0]
+    while step < breaks[0]:
+        pts.append(step)
+        step *= 4.0
+    pts += breaks
     # split the 1e-11 budget in proportion to the envelope mass of each panel
     weights = [math.exp(-rate * a) - math.exp(-rate * b)
                for a, b in zip(pts, pts[1:])]
@@ -289,42 +310,19 @@ def modal_kernel_l1(params: DampingParams, n: int) -> float:
 def _propagator_arrays(table, dt: float):
     """Exact homogeneous-flow matrix entries for the modes of a _mode_table.
 
-    y(t+dt) = P00 y + P01 y'; y'(t+dt) = P10 y + P11 y'. Written with
-    nonpositive exponents only; a joint series branch covers near-critical
-    modes where sinh(r dt)/r degenerates.
+    y(t+dt) = P00 y + P01 y'; y'(t+dt) = P10 y + P11 y', with P01 = S and
+    P11 = C - k S from the free flow. Modes with |disc dt^2| < 1e-6 take the
+    joint series, where sinh(r dt)/r degenerates; the rest take the closed
+    form of their regime.
     """
     npi, k, disc = table
     q = disc * dt * dt
-    C = np.empty_like(k)
-    S = np.empty_like(k)
-
-    series = np.abs(q) < 1e-6
-    if np.any(series):
-        qs = q[series]
-        ek = np.exp(-k[series] * dt)
-        C[series] = ek * (1.0 + qs * (0.5 + qs * (1.0 / 24.0 + qs / 720.0)))
-        S[series] = ek * dt * (1.0 + qs * (1.0 / 6.0 + qs * (1.0 / 120.0 + qs / 5040.0)))
-
-    over = (q >= 1e-6)
-    if np.any(over):
-        r = np.sqrt(disc[over])
-        eslow = np.exp(-(k[over] - r) * dt)
-        efactor = np.expm1(-2.0 * r * dt)
-        C[over] = eslow * (1.0 + 0.5 * efactor)
-        S[over] = -0.5 * eslow * efactor / r
-
-    under = (q <= -1e-6)
-    if np.any(under):
-        wn = np.sqrt(-disc[under])
-        ek = np.exp(-k[under] * dt)
-        C[under] = ek * np.cos(wn * dt)
-        S[under] = ek * np.sin(wn * dt) / wn
-
-    p00 = C + k * S
-    p01 = S
-    p10 = -npi * npi * S
-    p11 = C - k * S
-    return p00, p01, p10, p11
+    C, S = np.empty_like(k), np.empty_like(k)
+    series, over, under = np.abs(q) < 1e-6, q >= 1e-6, q <= -1e-6
+    C[series], S[series] = _flow_series(k[series], q[series], dt)
+    C[over], S[over] = _flow_over(k[over], np.sqrt(disc[over]), dt)
+    C[under], S[under] = _flow_under(k[under], np.sqrt(-disc[under]), dt)
+    return C + k * S, S, -npi * npi * S, C - k * S
 
 
 def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float,

@@ -198,6 +198,43 @@ def kernel_literal(sigma, mu, n):
     return K, k - abs(root.real)
 
 
+def kernel_mp(sigma, mu, n, t, dps=40):
+    """K of mode n at time t in arbitrary precision, from the complex roots.
+
+    K = sqrt(2) n pi (sigma imp' + imp) with the unit impulse response
+    imp = (e^{s1 t} - e^{s2 t})/(s1 - s2); at a double root its limit
+    t e^{s1 t}. sigma and mu are taken exactly as given. Returns a float.
+    """
+    with mp.workdps(dps):
+        s, m, t = mp.mpf(sigma), mp.mpf(mu), mp.mpf(t)
+        npi = n * mp.pi
+        k = (m + npi * npi * s) / 2
+        root = mp.sqrt(mp.mpc(k * k - npi * npi))
+        s1, s2 = -k + root, -k - root
+        if s1 == s2:
+            imp, dimp = t * mp.exp(s1 * t), (1 + s1 * t) * mp.exp(s1 * t)
+        else:
+            e1, e2 = mp.exp(s1 * t), mp.exp(s2 * t)
+            imp, dimp = (e1 - e2) / (s1 - s2), (s1 * e1 - s2 * e2) / (s1 - s2)
+        return float(mp.re(mp.sqrt(2) * npi * (s * dimp + imp)))
+
+
+def flow_mp(k, q, t, dps=40):
+    """(C, S) = e^{-kt} (cosh r t, sinh(r t)/r) with q = (r t)^2, in mpmath.
+
+    k, q and t are taken exactly as given; q < 0 gives cos and sin of the
+    frequency sqrt(-q)/t, q = 0 the double-root limit (1, t) e^{-kt}.
+    Returns floats.
+    """
+    with mp.workdps(dps):
+        k, q, t = mp.mpf(k), mp.mpf(q), mp.mpf(t)
+        ek = mp.exp(-k * t)
+        if q == 0:
+            return float(ek), float(ek * t)
+        z = mp.sqrt(mp.mpc(q))  # r t, imaginary when q < 0
+        return float(mp.re(ek * mp.cosh(z))), float(mp.re(ek * t * mp.sinh(z) / z))
+
+
 def kernel_l1_quad(sigma, mu, n, rel_tol=1e-12):
     """L1 norm of the mode kernel by adaptive quadrature.
 

@@ -11,9 +11,15 @@ import oracles as oc
 from wavegain.freq_response import DampingParams
 from wavegain.gain_bounds import mode_constants
 from wavegain.modal import (
+    CRITICAL_RTOL,
     DisturbanceSpec,
     _decay_rate_array,
+    _flow_over,
+    _flow_series,
+    _flow_under,
+    _kernel,
     _mode_table,
+    _near_critical,
     _particular_arrays,
     _propagator_arrays,
     _transfer_array,
@@ -209,6 +215,26 @@ class TestKernel:
         expect = SQRT2 / math.pi * (1.0 + 2.0 * w * math.exp(-1.0 - 1.0 / w))
         assert l1 == pytest.approx(expect, rel=1e-9)
 
+    def test_l1_overdamped_boundary_layer(self):
+        # at (2, 1) every mode is overdamped and the fast exponential has a
+        # boundary layer of width ~1/(k + r) at tau = 0
+        p = DampingParams(2.0, 1.0)
+        for n in range(1, 51):
+            ref = SQRT2 / (n * math.pi) * mode_constants(p, n).A_n
+            assert abs(modal_kernel_l1(p, n) - ref) <= 5e-11 * ref, n
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.1, 0.02])
+    @pytest.mark.parametrize("rel", [0.0, 3e-9, -3e-9, 1e-8, -1e-8,
+                                     1e-6, -1e-6, 1e-3, -1e-3])
+    def test_kernel_near_critical_matches_mpmath(self, sigma, rel):
+        # mu puts k_1 at pi (1 + rel); rel = 0 is exactly critical in
+        # floating point, and just outside CRITICAL_RTOL the split r is small
+        mu = 2.0 * math.pi * (1.0 + rel) - math.pi**2 * sigma
+        K, rate, _ = _kernel(DampingParams(sigma, mu), 1)
+        tau = np.linspace(0.0, 40.0 / rate, 41)
+        ref = np.array([oc.kernel_mp(sigma, mu, 1, t) for t in tau])
+        assert np.max(np.abs(K(tau) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 
 def _advance(table, sigma, H, d, y, v, t0, dt):
     """One exact step of every mode in the table: the update simulate uses."""
@@ -277,6 +303,39 @@ class TestExactStepper:
         y_ref, v_ref = oc.free_mode_solution(1.0, 0.0, 1, 1.0, 0.0, 10 * dt)
         assert y[0] == pytest.approx(y_ref, rel=1e-12)
         assert v[0] == pytest.approx(v_ref, rel=1e-9)
+
+    @staticmethod
+    def _assert_flow_matches_mpmath(k, disc, t):
+        """The series and the regime's closed form each give
+        e^{-kt} (cosh rt, sinh(rt)/r) to the rounding of k t in the
+        exponential; returns the 40-digit (C, S)."""
+        q = disc * t * t
+        ref = np.array([oc.flow_mp(k, qi, ti) for qi, ti in zip(q, t)]).T
+        closed = _flow_over if disc > 0.0 else _flow_under
+        tol = 4e-16 * (1.0 + k * t) * np.abs(ref)
+        for C, S in (_flow_series(k, q, t), closed(k, math.sqrt(abs(disc)), t)):
+            assert np.all(np.abs(C - ref[0]) <= tol[0]), (k, disc)
+            assert np.all(np.abs(S - ref[1]) <= tol[1]), (k, disc)
+        return ref
+
+    @pytest.mark.parametrize("k, dt", [(0.1, 1e-3), (3.0, 0.05), (0.7, 1.3)])
+    def test_flow_across_the_series_switch(self, k, dt):
+        # q = disc dt^2 on both sides of |q| = 1e-6, where the propagator
+        # switches between the series and the closed forms
+        disc = np.array([-1.001, -0.999, 0.999, 1.001]) * 1e-6 / (dt * dt)
+        ref = [self._assert_flow_matches_mpmath(k, d, np.array([dt]))[1, 0]
+               for d in disc]
+        _, p01, _, _ = _propagator_arrays((np.ones(4), np.full(4, k), disc), dt)
+        assert p01 == pytest.approx(ref, rel=4e-16 * (1.0 + k * dt))
+
+    @pytest.mark.parametrize("rel", [-2.0, -0.5, 0.5, 2.0])
+    def test_flow_across_the_critical_switch(self, rel):
+        # k_1 on both sides of CRITICAL_RTOL, where the kernel switches
+        # between the series and the closed forms, over its whole horizon
+        mu = 2.0 * math.pi * (1.0 + rel * CRITICAL_RTOL) - 0.1 * math.pi**2
+        npi, k, disc = map(float, _mode_table(DampingParams(0.1, mu), 1))
+        assert _near_critical(k, npi) == (abs(rel) < 1.0)
+        self._assert_flow_matches_mpmath(k, disc, np.linspace(0.0, 40.0 / k, 41))
 
     def test_sinusoid_reaches_transfer_steady_state(self):
         # after the transient dies, y_n(t) = Im(H_n e^{i w t}) exactly;
