@@ -18,12 +18,7 @@ import numpy as np
 
 from ._numerics import refine_local_maxima
 from .freq_response import DampingParams, l2_stats_at, sup_gain_at
-from .modal import (
-    _check_mode_index,
-    _decay_rate_array,
-    _mode_table,
-    _near_critical,
-)
+from .modal import _check_mode_index, _mode_table
 
 __all__ = [
     "FrequencySearchConfig",
@@ -227,7 +222,7 @@ def _spike_search(params, search, evaluate, limit_value):
         b = min(hi, center + WINDOW_HALF_WIDTH)
         if a >= b:
             continue
-        count = _window_point_count(float(_decay_rate_array(params, n)))
+        count = _window_point_count(float(_mode_table(params, n).rate))
         if scan(np.linspace(a, b, count)):
             stale = 0
         else:
@@ -309,6 +304,8 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
           c = (2 - mu*sigma - n^2 pi^2 sigma^2)/(2w);
       near-critical (within 1e-9 relative of k = n*pi): the two-sided limit,
           1 + 2w exp(-1 - 1/w) when n*pi*sigma > 1, else 1.
+    The regime, near-critical flag, r and omega_n are the fields of
+    modal._mode_table; only the n*pi*sigma tests are made here.
     """
     ns = np.asarray(ns, dtype=float)
     sigma, mu = params.sigma, params.mu
@@ -318,8 +315,7 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
         return A
     w = math.sqrt(1.0 - musig)
 
-    npi, k, disc = _mode_table(params, ns)
-    crit = _near_critical(k, npi)
+    npi, k, disc, root, crit, _ = _mode_table(params, ns)
 
     near_plus = crit & (npi * sigma > 1.0)
     if near_plus.any():
@@ -327,14 +323,14 @@ def _amplification_array(params: DampingParams, ns) -> np.ndarray:
 
     over = (disc > 0.0) & ~crit & (npi * sigma >= 1.0)
     if over.any():
-        ko, r = k[over], np.sqrt(disc[over])
+        ko, r = k[over], root[over]
         P = sigma * (ko + r) - 1.0
         A[over] = 1.0 + 2.0 * w * np.exp((ko / r) * np.log(w / P))
 
     under = (disc < 0.0) & ~crit
     if under.any():
         ku, nu = k[under], npi[under]
-        wn = np.sqrt(-disc[under])
+        wn = root[under]
         c = (2.0 - musig - (nu * sigma) ** 2) / (2.0 * w)
         c = np.clip(c, -1.0, 1.0)  # |c| < 1 holds analytically off criticality
         A[under] = 1.0 + (2.0 * w * np.exp((ku / wn) * (np.arccos(c) - math.pi))
@@ -348,8 +344,9 @@ class ModeConstants:
 
     Exactly one of r_n (overdamped/critical split) and omega_n (underdamped
     frequency) is set; beta_n = k_n/r_n is the overdamped power exponent.
-    The regime is classified by exact comparison of mu + n^2 pi^2 sigma with
-    2 n pi even when A_n is evaluated by the near-critical limit.
+    All of them are read off modal._mode_table, whose exact sign of
+    k_n^2 - n^2 pi^2 gives the regime even when A_n is evaluated by the
+    near-critical limit.
     """
 
     n: int
@@ -364,16 +361,15 @@ class ModeConstants:
 def mode_constants(params: DampingParams, n: int) -> ModeConstants:
     """Regime split, decay constants and amplification factor of mode n."""
     n = _check_mode_index(n)
-    _, k, disc = map(float, _mode_table(params, n))
+    _, k, disc, root, _, _ = map(float, _mode_table(params, n))
     A = float(_amplification_array(params, np.array([n]))[0])
     if disc > 0.0:
-        r = math.sqrt(disc)
-        return ModeConstants(n=n, k_n=k, r_n=r, omega_n=None,
-                             regime="overdamped", beta_n=k / r, A_n=A)
+        return ModeConstants(n=n, k_n=k, r_n=root, omega_n=None,
+                             regime="overdamped", beta_n=k / root, A_n=A)
     if disc == 0.0:
         return ModeConstants(n=n, k_n=k, r_n=0.0, omega_n=None,
                              regime="critical", beta_n=None, A_n=A)
-    return ModeConstants(n=n, k_n=k, r_n=None, omega_n=math.sqrt(-disc),
+    return ModeConstants(n=n, k_n=k, r_n=None, omega_n=root,
                          regime="underdamped", beta_n=None, A_n=A)
 
 

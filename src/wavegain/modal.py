@@ -4,10 +4,12 @@ Projecting the displacement onto the sine basis sqrt(2)*sin(n*pi*x) turns the
 PDE into decoupled second-order ODEs
     y_n'' + (mu + n^2 pi^2 sigma) y_n' + n^2 pi^2 y_n
         = n pi sqrt(2) (sigma d'(t) + d(t)).
-Every per-mode quantity starts from one table, _mode_table: n*pi, the half
-damping k_n = (mu + n^2 pi^2 sigma)/2 and the split k_n^2 - n^2 pi^2, whose
-sign gives the regime. On it sit the per-mode transfer function, the decay
-rates and each regime's free flow (C, S) = e^{-kt} (cosh rt, sinh(rt)/r),
+Every per-mode quantity starts from one table, _mode_table, which makes every
+regime decision: n*pi, the half damping k_n = (mu + n^2 pi^2 sigma)/2, the
+split k_n^2 - n^2 pi^2 whose sign gives the regime, its root, the
+near-critical flag and the decay rate. Its readers, here and in gain_bounds
+and simulator, classify no mode themselves. On it sit the per-mode transfer
+function and each regime's free flow (C, S) = e^{-kt} (cosh rt, sinh(rt)/r),
 written once. The exact stepper is built on the flow: a propagator and a
 particular solution for sinusoidal, constant and linear boundary forcing,
 both evaluated for a whole array of modes at once. So is the forcing kernel,
@@ -17,6 +19,7 @@ check on the closed-form series amplification factors.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,38 +40,41 @@ CRITICAL_RTOL = 1e-9
 
 
 def _check_mode_index(n):
-    if int(n) != n or n < 1:
+    """n as an int; ValueError unless it is a finite integer >= 1."""
+    if not (n >= 1 and math.isfinite(n) and int(n) == n):
         raise ValueError(f"mode index must be a positive integer, got {n!r}")
     return int(n)
 
 
-def _mode_table(params: DampingParams, ns):
-    """Per-mode constants (npi, k, disc) for a scalar or array of mode indices.
+class ModeTable(NamedTuple):
+    npi: np.ndarray
+    k: np.ndarray
+    disc: np.ndarray
+    root: np.ndarray
+    near: np.ndarray
+    rate: np.ndarray
+
+
+def _mode_table(params: DampingParams, ns) -> ModeTable:
+    """ModeTable (npi, k, disc, root, near, rate) of a scalar or array of
+    mode indices; the one place where a mode's regime is decided.
 
     npi = n pi, k = (mu + n^2 pi^2 sigma)/2 is the half damping and
-    disc = k^2 - n^2 pi^2, factored for accuracy. disc > 0 is overdamped
-    (split r_n = sqrt(disc)), disc < 0 underdamped (frequency
-    omega_n = sqrt(-disc)) and disc == 0 exactly critical; since k, npi > 0
-    the sign of disc is the sign of k - npi.
+    disc = k^2 - n^2 pi^2, factored for accuracy. disc > 0 is overdamped,
+    disc < 0 underdamped and disc == 0 exactly critical; since k, npi > 0
+    the sign of disc is the sign of k - npi. root = sqrt(|disc|) is the
+    split r_n when disc > 0, the frequency omega_n when disc < 0. near marks
+    |k - npi| < CRITICAL_RTOL npi, where the closed forms that divide by
+    root give way to their critical limits. rate, the slowest decay
+    exponent, is k - root when disc > 0 and k otherwise; it sizes the spike
+    search's windows and the simulator's default burn-in.
     """
     npi = np.asarray(ns, dtype=float) * math.pi
     k = 0.5 * (params.mu + npi * npi * params.sigma)
-    return npi, k, (k - npi) * (k + npi)
-
-
-def _decay_rate_array(params: DampingParams, ns) -> np.ndarray:
-    """Slowest decay exponent of each mode: k_n - r_n if overdamped, else k_n.
-
-    Sets the resonance peak width in the spike search and the simulator's
-    default burn-in. Accepts a scalar or an array of mode indices.
-    """
-    _, k, disc = _mode_table(params, ns)
-    return np.where(disc > 0.0, k - np.sqrt(np.maximum(disc, 0.0)), k)
-
-
-def _near_critical(k, npi):
-    """Whether k is within CRITICAL_RTOL of npi; scalars or arrays."""
-    return abs(k - npi) < CRITICAL_RTOL * npi
+    disc = (k - npi) * (k + npi)
+    root = np.sqrt(np.abs(disc))
+    return ModeTable(npi, k, disc, root, np.abs(k - npi) < CRITICAL_RTOL * npi,
+                     np.where(disc > 0.0, k - root, k))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ def _transfer_array(params: DampingParams, ns: np.ndarray, omega: float) -> np.n
           / (n^2 pi^2 - omega^2 + i omega (mu + n^2 pi^2 sigma));
     the denominator cannot vanish for real omega since mu + n^2 pi^2 sigma > 0.
     """
-    npi, k, _ = _mode_table(params, ns)
+    npi, k, *_ = _mode_table(params, ns)
     num = SQRT2 * npi * (1.0 + 1j * params.sigma * omega)
     den = npi * npi - omega * omega + 1j * omega * (2.0 * k)
     return num / den
@@ -232,28 +238,26 @@ def _kernel(params: DampingParams, n: int):
     K maps an array of tau to the array of its values. It is read off the
     mode's free flow, the stepper's (C, S): K = n pi sqrt(2) (sigma P11 + P01)
     = n pi sqrt(2) (sigma C + (1 - sigma k) S). Near-critical modes take the
-    flow's joint series, which holds over the whole horizon there.
+    flow's joint series, which holds over the whole horizon there, and decay
+    at rate k.
     """
     n = _check_mode_index(n)
     sigma = params.sigma
-    npi, k, disc = map(float, _mode_table(params, n))
+    npi, k, disc, root, near, rate = map(float, _mode_table(params, n))
     b = 1.0 - sigma * k
     c1, c2 = npi * SQRT2 * sigma, npi * SQRT2 * b
-    near = _near_critical(k, npi)
     if near:
         rate = k
         zeros = [-sigma / b] if b < 0.0 else []
     elif disc > 0.0:
-        flow, root = _flow_over, math.sqrt(disc)
-        rate = k - root
+        flow = _flow_over
         cp, cm = sigma * (k + root) - 1.0, 1.0 - sigma * (k - root)
         ratio = -cm / cp if cp != 0.0 else 0.0
         t0 = -math.log(ratio) / (2.0 * root) if ratio > 0.0 else 0.0
         zeros = [t0] if t0 > 0.0 else []
     else:
         # root = omega_n; omega_n (sigma C + b S) = R sin(omega_n tau + phi) e^{-k tau}
-        flow, root = _flow_under, math.sqrt(-disc)
-        rate = k
+        flow = _flow_under
         phi = math.atan2(sigma * root, b)
         jmax = int(math.floor((root * (40.0 / k) + phi) / math.pi))
         zeros = [(j * math.pi - phi) / root for j in range(1, jmax + 1)]
@@ -285,8 +289,8 @@ def modal_kernel_l1(params: DampingParams, n: int) -> float:
     K, rate, zeros = _kernel(params, n)
     horizon = 40.0 / rate  # e^{-40} ~ 4e-18, margin for polynomial factors
     breaks = [z for z in zeros if z < horizon] + [horizon]
-    _, k, disc = map(float, _mode_table(params, n))
-    step, pts = 1.0 / (k + math.sqrt(max(disc, 0.0))), [0.0]
+    _, k, disc, root, _, _ = map(float, _mode_table(params, n))
+    step, pts = 1.0 / (k + root if disc > 0.0 else k), [0.0]
     while step < breaks[0]:
         pts.append(step)
         step *= 4.0
@@ -315,13 +319,13 @@ def _propagator_arrays(table, dt: float):
     joint series, where sinh(r dt)/r degenerates; the rest take the closed
     form of their regime.
     """
-    npi, k, disc = table
+    npi, k, disc, root, _, _ = table
     q = disc * dt * dt
     C, S = np.empty_like(k), np.empty_like(k)
     series, over, under = np.abs(q) < 1e-6, q >= 1e-6, q <= -1e-6
     C[series], S[series] = _flow_series(k[series], q[series], dt)
-    C[over], S[over] = _flow_over(k[over], np.sqrt(disc[over]), dt)
-    C[under], S[under] = _flow_under(k[under], np.sqrt(-disc[under]), dt)
+    C[over], S[over] = _flow_over(k[over], root[over], dt)
+    C[under], S[under] = _flow_under(k[under], root[under], dt)
     return C + k * S, S, -npi * npi * S, C - k * S
 
 
@@ -347,7 +351,7 @@ def _particular_arrays(table, sigma, H, d: DisturbanceSpec, t0: float, t1: float
 
         return (at(t0) if start is None else start), at(t1)
     d0, slope = d.linear_piece(t0, t1)
-    npi, k, _ = table
+    npi, k, *_ = table
     beta = SQRT2 * slope / npi
     alpha = SQRT2 * (sigma * slope + d0) / npi - 2.0 * k * beta / (npi * npi)
     return (alpha, beta), (alpha + beta * (t1 - t0), beta)

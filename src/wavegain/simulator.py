@@ -20,7 +20,6 @@ from .freq_response import DampingParams
 from .modal import (
     SQRT2,
     DisturbanceSpec,
-    _decay_rate_array,
     _mode_table,
     _particular_arrays,
     _propagator_arrays,
@@ -61,8 +60,8 @@ class SimConfig:
     def resolved_burn_in(self, params: DampingParams) -> float:
         if self.burn_in is not None:
             return self.burn_in
-        slowest = float(_decay_rate_array(
-            params, np.arange(1, self.n_modes + 1)).min())
+        slowest = float(
+            _mode_table(params, np.arange(1, self.n_modes + 1)).rate.min())
         return min(10.0 / slowest, 0.5 * self.t_final)
 
 
@@ -153,9 +152,9 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
     # per-mode constants, and for a sinusoid the transfer, are fixed per run
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         table = _mode_table(params, ns)
-    if not np.isfinite(table[2]).all():
+    if not np.isfinite(table.disc).all():
         raise _not_finite(params)
     H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
     y = np.zeros(N)
@@ -173,7 +172,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
 
     xs = np.linspace(0.0, 1.0, config.x_points)
     dx = xs[1] - xs[0]
-    lift_coef = SQRT2 / table[0]
+    lift_coef = SQRT2 / table.npi
     period = 2 * (config.x_points - 1)
     slots = np.arange(1, N + 1) % period
 

@@ -11,10 +11,12 @@ REMOVED = {
                  "mode_split", "SteadyStateProfile", "SweepRow",
                  "empirical_gain_sweep", "modal_transfer"),
     "wavegain.modal": ("ModalState", "modal_step", "initial_modal_state",
-                       "mode_split", "modal_transfer"),
+                       "mode_split", "modal_transfer", "_decay_rate_array",
+                       "_near_critical"),
     "wavegain.freq_response": ("SteadyStateProfile", "_sup_gain_many",
                                "_l2_gain_many"),
-    "wavegain.gain_bounds": ("_l2_gain_one",),
+    "wavegain.gain_bounds": ("_l2_gain_one", "_decay_rate_array",
+                             "_near_critical"),
     "wavegain.simulator": ("SweepRow", "empirical_gain_sweep"),
     "wavegain.cli": ("PARALLEL_ENV", "ThreadPoolExecutor"),
 }

@@ -13,13 +13,11 @@ from wavegain.gain_bounds import mode_constants
 from wavegain.modal import (
     CRITICAL_RTOL,
     DisturbanceSpec,
-    _decay_rate_array,
     _flow_over,
     _flow_series,
     _flow_under,
     _kernel,
     _mode_table,
-    _near_critical,
     _particular_arrays,
     _propagator_arrays,
     _transfer_array,
@@ -30,7 +28,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 class TestModeSplit:
-    """The mode table (n pi, k_n, k_n^2 - n^2 pi^2) and the rates read off it."""
+    """The mode table (n pi, k_n, k_n^2 - n^2 pi^2, root, near-critical flag,
+    decay rate) and the mode constants read off it."""
 
     def test_regime_classification(self):
         p = DampingParams(0.05, 0.1)
@@ -53,31 +52,48 @@ class TestModeSplit:
         k = mode_constants(DampingParams(0.7, 0.3), 4).k_n
         assert k == pytest.approx(0.5 * (0.3 + 16.0 * math.pi**2 * 0.7),
                                   rel=1e-15)
-        _, k_table, _ = _mode_table(DampingParams(0.7, 0.3), 4)
-        assert float(k_table) == k
+        assert float(_mode_table(DampingParams(0.7, 0.3), 4).k) == k
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            mode_constants(DampingParams(1.0, 0.0), 0)
-        with pytest.raises(ValueError):
-            mode_constants(DampingParams(1.0, 0.0), -3)
+        # inf once escaped as OverflowError and NaN as numpy's conversion error
+        for n in (0, -3, math.inf, math.nan, 1.5):
+            with pytest.raises(ValueError, match="mode index"):
+                mode_constants(DampingParams(1.0, 0.0), n)
+            with pytest.raises(ValueError, match="mode index"):
+                modal_kernel_l1(DampingParams(1.0, 0.0), n)
 
     def test_decay_rate_matches_scalar_formula_bitwise(self):
-        # the spike search sizes its windows from this rate, so the array
-        # form must reproduce the scalar k - sqrt(k^2 - n^2 pi^2) exactly
-        def scalar_rate(params, n):
+        # the spike search sizes its windows from the rate, so the array
+        # form must reproduce the scalar k - sqrt(k^2 - n^2 pi^2) exactly;
+        # so must the root and the near-critical flag every consumer reads
+        def scalar_row(params, n):
             npi = n * math.pi
             k = 0.5 * (params.mu + npi * npi * params.sigma)
             disc = (k - npi) * (k + npi)
-            return k - math.sqrt(disc) if disc > 0.0 else k
+            root = math.sqrt(abs(disc))
+            near = abs(k - npi) < CRITICAL_RTOL * npi
+            return root, near, k - math.sqrt(disc) if disc > 0.0 else k
+
+        def check(p, ns):
+            t = _mode_table(p, np.array(ns))
+            rows = list(zip(t.root.tolist(), t.near.tolist(), t.rate.tolist()))
+            assert rows == [scalar_row(p, n) for n in ns]
+            one = _mode_table(p, ns[-1])
+            assert (float(one.root), bool(one.near), float(one.rate)) \
+                == scalar_row(p, ns[-1])
 
         rng = np.random.default_rng(7)
         for _ in range(50):
             mu = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
-            p = DampingParams(10.0 ** rng.uniform(-3, 1), mu)
-            rates = _decay_rate_array(p, np.arange(1, 400))
-            assert rates.tolist() == [scalar_rate(p, n) for n in range(1, 400)]
-            assert float(_decay_rate_array(p, 17)) == scalar_rate(p, 17)
+            check(DampingParams(10.0 ** rng.uniform(-3, 1), mu),
+                  list(range(1, 400)) + [17])
+        # the exact-critical pair of test_exact_critical_construction, and
+        # k_1 at +-0.5 and +-2 CRITICAL_RTOL from critical
+        w = 0.6
+        check(DampingParams((1.0 + w) / math.pi, math.pi * (1.0 - w)), [1, 2])
+        for rel in (-2.0, -0.5, 0.5, 2.0):
+            mu = 2.0 * math.pi * (1.0 + rel * CRITICAL_RTOL) - 0.1 * math.pi**2
+            check(DampingParams(0.1, mu), [1, 2])
 
     def test_transfer_damping_from_table_bitwise(self):
         # 2 k_n rebuilds mu + n^2 pi^2 sigma exactly, so the transfer built
@@ -325,7 +341,10 @@ class TestExactStepper:
         disc = np.array([-1.001, -0.999, 0.999, 1.001]) * 1e-6 / (dt * dt)
         ref = [self._assert_flow_matches_mpmath(k, d, np.array([dt]))[1, 0]
                for d in disc]
-        _, p01, _, _ = _propagator_arrays((np.ones(4), np.full(4, k), disc), dt)
+        # a hand-built table: the propagator reads n pi, k, disc and root
+        table = (np.ones(4), np.full(4, k), disc, np.sqrt(np.abs(disc)),
+                 None, None)
+        _, p01, _, _ = _propagator_arrays(table, dt)
         assert p01 == pytest.approx(ref, rel=4e-16 * (1.0 + k * dt))
 
     @pytest.mark.parametrize("rel", [-2.0, -0.5, 0.5, 2.0])
@@ -333,8 +352,9 @@ class TestExactStepper:
         # k_1 on both sides of CRITICAL_RTOL, where the kernel switches
         # between the series and the closed forms, over its whole horizon
         mu = 2.0 * math.pi * (1.0 + rel * CRITICAL_RTOL) - 0.1 * math.pi**2
-        npi, k, disc = map(float, _mode_table(DampingParams(0.1, mu), 1))
-        assert _near_critical(k, npi) == (abs(rel) < 1.0)
+        _, k, disc, _, near, _ = map(float,
+                                     _mode_table(DampingParams(0.1, mu), 1))
+        assert near == (abs(rel) < 1.0)
         self._assert_flow_matches_mpmath(k, disc, np.linspace(0.0, 40.0 / k, 41))
 
     def test_sinusoid_reaches_transfer_steady_state(self):
