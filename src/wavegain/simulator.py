@@ -152,7 +152,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
     # per-mode constants, and for a sinusoid the transfer, are fixed per run
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         table = _mode_table(params, ns)
     if not np.isfinite(table.disc).all():
         raise _not_finite(params)
