@@ -25,7 +25,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .freq_response import DampingParams, sup_gain_at, l2_stats_at
+from .freq_response import (_MAX_GRID_POINTS, DampingParams, sup_gain_at,
+                            l2_stats_at)
 from .gain_bounds import (FrequencySearchConfig, InternalConsistencyError,
                           gain_bounds)
 from .modal import DisturbanceSpec
@@ -64,11 +65,18 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _check_points(points: int):
+    if points < 2:
+        raise ValueError("points must be at least 2")
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"points must be at most {_MAX_GRID_POINTS}, "
+                         f"got {points}")
+
+
 def _grid(lo: float, hi: float, points: int, scale: str):
     if scale not in _SCALES:
         raise ValueError("scale must be linear or log")
-    if points < 2:
-        raise ValueError("points must be at least 2")
+    _check_points(points)
     if not (0.0 < lo < hi):
         raise ValueError(f"range endpoints must satisfy 0 < min < max, "
                          f"got [{lo}, {hi}]")
@@ -153,8 +161,7 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
 
 def cmd_sweep(sigma, mu_min, mu_max, points, out, search=None) -> int:
     """Bounds along a mu axis at fixed sigma, as CSV."""
-    if points < 2:
-        raise ValueError("points must be at least 2")
+    _check_points(points)
     if not (0.0 <= mu_min < mu_max < math.inf):
         raise ValueError(f"mu range must be finite and satisfy "
                          f"0 <= min < max, got [{mu_min}, {mu_max}]")

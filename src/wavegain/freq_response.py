@@ -168,6 +168,9 @@ _BLOCK = 1 << 13
 # Points allowed in one row of the sup-gain grid (2^20, 8 MB per temporary);
 # a row that needs more raises ValueError before anything is allocated.
 _MAX_ROW_POINTS = 1 << 20
+# Points allowed in a bode or sweep grid (2^20); the CLI refuses a larger
+# --points before it builds the grid.
+_MAX_GRID_POINTS = 1 << 20
 # Safety cap on the lockstep Newton loop; the most passes measured is 6
 # (test_newton_pass_budget's grid), the same on 33-point and 1025-point rows.
 _NEWTON_MAX_ITER = 64

@@ -378,11 +378,14 @@ def mode_constants(params: DampingParams, n: int) -> ModeConstants:
 # ---------------------------------------------------------------------------
 
 class U2Value(float):
-    """The L2-gain upper bound, annotated with series truncation metadata.
+    """The L2-gain upper bound, annotated with how its series was summed.
 
-    Behaves as a plain float; terms is the number of explicitly summed
-    modes (0 for the exact mu*sigma >= 1 branch) and truncation_error_bound
-    bounds the distance to the untruncated series value.
+    Behaves as a plain float. terms is the number M of explicitly summed
+    modes (0 for the exact mu*sigma >= 1 branch). The modes past M enter
+    through the upper end of a proven bracket on their sum, so the value
+    sits on the safe side of the tail; truncation_error_bound is the
+    bracket's width carried through to U_2, so the untruncated series value
+    lies in [value - truncation_error_bound, value].
     """
 
     truncation_error_bound: float
@@ -395,47 +398,196 @@ class U2Value(float):
         return obj
 
 
-# Modes per block of the U_2 sum; keeps its memory independent of sigma.
+# Modes per block of the explicit U_2 sum; keeps its memory independent of
+# sigma.
 _CHUNK = 1 << 16
+# The tail bracket may cost U_2 at most this relative width.
+_U2_RTOL = 1e-13
+
+
+def _excess_terms(params: DampingParams, ns) -> np.ndarray:
+    """g(n) = (A_n^2 - 1)/n^2 for an array of modes n.
+
+    upper_l2's tail also evaluates it between integers past 2/(pi sigma),
+    where only the overdamped closed form applies and is smooth in n.
+    """
+    A = _amplification_array(params, ns)
+    return (A - 1.0) * (A + 1.0) / (ns * ns)
+
+
+def _tail_conditions(w, theta):
+    """True where conditions (M) and (C) of upper_l2 hold at theta >= 3."""
+    C, S = 1.0 / math.tanh(theta), 1.0 / math.sinh(theta)
+    dp = C - theta * S * S                      # p'
+    d2p = 2.0 * (theta * C - 1.0) * S * S       # p''
+    dq = (theta * C - 1.0) * S                  # |q'|
+    d2q = (theta * (C * C + S * S) - 2.0 * C) * S   # q''
+    s = (1.0 + w * w + 2.0 * w * math.cosh(theta)) / (w * math.sinh(theta))
+    tbar = w * w / (1.0 + w * w)
+    c = 1.0 + tbar
+    # a relative slack keeps rounding from accepting a point just short
+    slack = 1.0 - 1e-9
+    return (dq <= w * (dp + 1.0 / s) * slack
+            and d2q + (1.5 + C) * dq <= w * slack * (
+                (6.0 - 4.0 * tbar) / (c * s * s)
+                + ((4.0 - c) / (c * s) + C) * dp - d2p))
+
+
+def _tail_convex_from(w):
+    """A u = n pi sigma past which g is proven decreasing and convex.
+
+    Bisects theta for the start of the run where (M) and (C) hold, which
+    upper_l2's docstring shows to persist for theta >= 3 once begun; u = 2
+    and theta = 3 bound it below. About 4.7 at w = 1, 2.6 at w = 0.1, 4.6
+    at w = 1e-4 and 6.2 at w = 1e-8 (w^2 = 1 - mu sigma).
+    """
+    lo = max(3.0, math.acosh((3.0 - w * w) / (2.0 * w)))
+    hi = lo
+    while not _tail_conditions(w, hi):
+        lo, hi = hi, hi + 1.0
+    if hi > lo:
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if _tail_conditions(w, mid):
+                hi = mid
+            else:
+                lo = mid
+    return math.sqrt(1.0 + w * w + 2.0 * w * math.cosh(hi))
+
+
+def _explicit_excess(params, start, stop):
+    """sum of g(n) over start <= n < stop, in blocks of _CHUNK modes."""
+    excess = 0.0
+    for lo in range(start, stop, _CHUNK):
+        ns = np.arange(lo, min(lo + _CHUNK, stop), dtype=float)
+        excess += float(_excess_terms(params, ns).sum())
+    return excess
 
 
 def upper_l2(params: DampingParams) -> U2Value:
     """Upper bound U_2 = (1/pi) sqrt(2 sum A_n^2/n^2) for the L2 gain.
 
     Exactly 1/sqrt(3) when mu*sigma >= 1 (all A_n = 1 and the series is
-    zeta(2)). Otherwise U_2 = sqrt(1 + D/zeta(2))/sqrt(3), and the excess
-    D = sum (A_n^2 - 1)/n^2 is summed over n = 1..N for an N fixed in
-    closed form by the inputs.
+    zeta(2)). Otherwise U_2 = sqrt(1 + D/zeta(2))/sqrt(3) with the excess
+    D = sum g(n), g(n) = (A_n^2 - 1)/n^2 >= 0. The modes n <= M are summed
+    explicitly; the tail sum over n > M is bracketed as [lo, hi], and the
+    printed U_2 takes hi, so it lies on the safe side of the tail.
+    truncation_error_bound is hi - lo carried through to U_2 (its slope in
+    D is 1/(6 zeta(2) U_2)), kept at most 1e-13 U_2; terms is M.
 
-    Past n0 = 2/(pi sigma) every mode is overdamped with n pi sigma > 2, so
-    the envelope in _amplification_array gives A_n - 1 <= 8w^2/(n pi sigma)^2
-    <= 2w^2 (w^2 = 1 - mu*sigma), hence A_n^2 - 1 <= (2 + 2w^2)(A_n - 1).
-    With sum_{n>N} n^-4 <= 1/(3N^3), the part of D left out past N > n0 is
-    at most 16 w^2 (1 + w^2) / (3 (pi sigma)^2 N^3), and U_2 moves by at
-    most 1/(2 sqrt(3) zeta(2)) times that (the slope of sqrt(1 + D/zeta(2))
-    is at most 1/(2 zeta(2))). That is the recorded truncation_error_bound.
-    N is the smallest integer above n0 that makes it at most 1e-13/sqrt(3)
-    <= 1e-13 U_2, so N grows like sigma^(-2/3). The sum runs in blocks of at
-    most _CHUNK modes.
+    Envelope. Past n0 = 2/(pi sigma) every mode is overdamped with
+    n pi sigma > 2, so the envelope in _amplification_array gives
+    A_n - 1 <= 8w^2/(n pi sigma)^2 <= 2w^2 (w^2 = 1 - mu*sigma), hence
+    A_n^2 - 1 <= (2 + 2w^2)(A_n - 1). With sum_{n>M} n^-4 <= 1/(3M^3) the
+    tail past M > n0 lies in [0, 16 w^2 (1 + w^2) / (3 (pi sigma)^2 M^3)].
+    That crude bracket is taken with M = ceil(n0) + 1 when it is already
+    narrow enough: at small sigma, where D is large, or w tiny.
+
+    Tail variables. With u = n pi sigma, m = mu sigma, a = sigma k =
+    (m + u^2)/2, b = sigma r = sqrt(a^2 - u^2) and P = a + b - 1, the
+    identity (a - 1)^2 - b^2 = w^2 gives a - 1 = w cosh(theta),
+    b = w sinh(theta), P = w e^theta and u^2 = 1 + w^2 + 2w cosh(theta),
+    theta > 0 increasing in u. Then h = A - 1 = 2w (w/P)^(a/b) =
+    2w exp(-phi(theta)) with phi = p + q/w, p = theta coth(theta),
+    q = theta/sinh(theta), and g(n) = (pi sigma)^2 G(u),
+    G = h(h + 2)/u^2. For u > 2, P > 1 (u^2 = P + 1 + w^2 + w^2/P is at
+    most 4 on w <= P <= 1), so h < 2w^2 and tau = h/(h + 2) < tbar =
+    w^2/(1 + w^2).
+
+    Monotone and convex. Let psi(u) = phi(theta(u)), y = u psi'(u) and
+    s = u^2/b. Differentiating ln G = ln 2w - psi + ln(h + 2) - 2 ln u,
+    with (ln(h + 2))' = -tau psi' and tau' = -tau (1 - tau) psi',
+        u G'/G = -(1 + tau) y - 2,
+        u^2 G''/G = (1 + 3tau) y^2 + 4(1 + tau) y + 6 - (1 + tau) u^2 psi''.
+    So G decreases where y >= -1, and then, as (1 + 3tau) y^2 +
+    4(1 + tau) y >= 4y - 4tbar, G is convex where
+    (1 + tbar) u^2 psi'' <= 6 - 4tbar + 4y. Since d theta/du = u/b and
+    d b/d theta = a - 1, y = s phi' and u^2 psi'' = s^2 phi'' +
+    s phi' (1 - s coth(theta)). Using p' > 0, p'' > 0, q' < 0, q'' > 0
+    and 1/s <= tanh(theta)/2, the two conditions follow from
+      (M)  |q'| <= w (p' + 1/s),
+      (C)  q'' + (3/2 + coth(theta)) |q'| <= w (A_s + B_s p' - p''),
+           A_s = (6 - 4tbar)/(c s^2), B_s = (4 - c)/(c s) + coth(theta),
+           c = 1 + tbar.
+    Both persist once true at some theta >= 3 (with u >= 2): their left
+    sides fall and right sides rise. With C = coth, S = 1/sinh:
+    |q'| = (theta C - 1) S falls because q'' = S (theta (C^2 + S^2) - 2C)
+    > 0 for theta >= 2; q'' falls because q''' = S (3(C^2 + S^2) -
+    theta C (C^2 + 5S^2)) < 0 for theta >= 3; p' rises (p'' = 2(theta C -
+    1) S^2 > 0); p'' falls and p' coth rises for theta >= 3/2 (their
+    derivatives are 2S^2 (3C - 2 theta C^2 - theta S^2) < 0 and
+    S^2 (2 theta C^2 - 3C + theta S^2) > 0); and s falls, as
+    d(b/u^2)/d theta = w ((1 + w^2) cosh(theta) + 2w)/u^4 > 0.
+    _tail_convex_from bisects for the start u_c of that run. g need not
+    be convex right past n0: at mu sigma = 0.99 it is concave up to
+    u = 2.49, and at 1 - 1e-16 it rises up to u = 4.7, so u_c grows as w
+    falls (6.2 at w = 1e-8).
+
+    Tail bracket. For g convex on [M + 1/2, inf) the midpoint and
+    trapezoid inequalities on each unit cell (Hermite-Hadamard) give
+        int_{M+1}^inf g + g(M+1)/2 <= sum_{n>M} g(n) <= int_{M+1/2}^inf g.
+    The integral from M + 1 is bracketed by the same inequalities on N
+    panels uniform in 1/x, from M + 1 to X = N (M + 1), plus [0, the
+    envelope's 16 w^2 (1 + w^2)/(3 (pi sigma)^2 X^3)] past X;
+    int_{M+1/2}^{M+1} g is bounded above by one trapezoid. The bracket
+    thus holds for the exact g; its float evaluation, like the explicit
+    sum's, is not bounded here.
+
+    Work. The width budget in D is 1e-13 (zeta(2) + D), the explicit sum
+    to ceil(n0) + 1 standing in for D. M = max(ceil(n0) + 1,
+    ceil(u_c/(pi sigma)), M_w), where M_w = (4 w^2/((pi sigma)^2
+    budget))^(1/5) fits the cells' share of the width, about
+    2 w^2/((pi sigma)^2 M^5), into half the budget. N is set to fit the
+    panels' share, about 10 w^2/((pi sigma)^2 N^2 M^3), into the other
+    half, and doubles while it does not. That is a few hundred to about
+    1700 modes and at most a few hundred panels for sigma in [1e-2, 5];
+    below about sigma = 1e-3 the explicit part up to n0 dominates and
+    grows like 1/sigma. The explicit sum runs in blocks of at most _CHUNK
+    modes.
     """
     musig = params.mu * params.sigma
     if musig >= 1.0:
         return U2Value(INV_SQRT3, truncation_error_bound=0.0, terms=0)
 
     w2 = 1.0 - musig
-    # truncation_error_bound = tail_coef / N^3
-    tail_coef = (INV_SQRT3 / (2.0 * ZETA2) * 16.0 * w2 * (1.0 + w2)
-                 / (3.0 * (math.pi * params.sigma) ** 2))
-    n_terms = 1 + max(int(2.0 / (math.pi * params.sigma)),
-                      int(np.cbrt(tail_coef / (1e-13 * INV_SQRT3))))
-    excess = 0.0
-    for start in range(1, n_terms + 1, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, n_terms + 1), dtype=float)
-        A = _amplification_array(params, ns)
-        excess += float(((A - 1.0) * (A + 1.0) / (ns * ns)).sum())
-    value = math.sqrt(1.0 + excess / ZETA2) * INV_SQRT3
-    return U2Value(value, truncation_error_bound=tail_coef / n_terms ** 3,
-                   terms=n_terms)
+    w = math.sqrt(w2)
+    pis = math.pi * params.sigma
+    envelope = 16.0 * w2 * (1.0 + w2) / (3.0 * pis ** 2)  # / M^3 or X^3
+    m_terms = math.ceil(2.0 / pis) + 1
+    excess = _explicit_excess(params, 1, m_terms + 1)
+    # the tail bracket's width budget in D; U_2's relative slope in D is
+    # 1/(2 (zeta(2) + D)), so it costs U_2 at most half of _U2_RTOL
+    budget = _U2_RTOL * (ZETA2 + excess)
+    lo = 0.0
+    hi = envelope / m_terms ** 3
+    if hi > budget:
+        m_new = max(m_terms, math.ceil(_tail_convex_from(w) / pis),
+                    math.ceil((4.0 * w2 / (pis * pis * budget)) ** 0.2))
+        excess += _explicit_excess(params, m_terms + 1, m_new + 1)
+        m_terms = m_new
+        x1 = m_terms + 1.0
+        panels = max(8, math.ceil(math.sqrt(
+            20.0 * w2 / (pis * pis * x1 ** 3 * budget))))
+        while True:
+            nodes = x1 * panels / np.arange(panels, 0, -1, dtype=float)
+            mids = 0.5 * (nodes[:-1] + nodes[1:])
+            widths = np.diff(nodes)
+            g = _excess_terms(params,
+                              np.concatenate((nodes, mids, [x1 - 0.5])))
+            g_nodes, g_mids = g[:panels], g[panels:-1]
+            mid_sum = float((widths * g_mids).sum())
+            trap_sum = (float((widths * (g_nodes[:-1] + g_nodes[1:])).sum())
+                        * 0.5 + envelope / nodes[-1] ** 3)
+            if trap_sum - mid_sum <= 0.5 * budget or panels >= 1 << 16:
+                break
+            panels *= 2
+        lo = mid_sum + 0.5 * g_nodes[0]
+        hi = trap_sum + 0.25 * (g[-1] + g_nodes[0])
+
+    value = math.sqrt(1.0 + (excess + hi) / ZETA2) * INV_SQRT3
+    low = math.sqrt(1.0 + (excess + lo) / ZETA2) * INV_SQRT3
+    width = (hi - lo) / (3.0 * ZETA2 * (value + low))
+    return U2Value(value, truncation_error_bound=width, terms=m_terms)
 
 
 # ---------------------------------------------------------------------------

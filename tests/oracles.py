@@ -349,6 +349,37 @@ def u2_interval_literal(sigma, mu, n_terms):
     return lo, hi
 
 
+def u2_series_mp(sigma, mu, dps=30):
+    """The whole U_2 series, sqrt(sum A_n^2/n^2 / (3 zeta(2))), in mpmath.
+
+    The excess terms g(n) = (A_n^2 - 1)/n^2 of amplification_mp are summed
+    for n <= M = max(3/(pi sigma), 300), where every later mode is
+    overdamped and g is smooth on the scale of n. The rest follows from the
+    midpoint Euler-Maclaurin formula, sum_{n>M} g(n) = int_{M+1/2}^inf g
+    + g'(M+1/2)/24 - 7 g'''(M+1/2)/5760 + ..., with the integral by
+    mp.quad and the derivatives by mp.diff; the next term is about
+    g/M^5 smaller than the tail. The integral stops at 1e6 (M + 1/2): past
+    there g < 16/(pi sigma n^2)^2 leaves out under 1e-18 of the tail. The
+    working precision grows with log(n) to cover the cancellation in
+    amplification_mp. Returns an mpf.
+    """
+    with mp.workdps(dps):
+        if mp.mpf(mu) * mp.mpf(sigma) >= 1:
+            return 1 / mp.sqrt(3)
+        m_terms = max(int(3.0 / (math.pi * sigma)) + 1, 300)
+
+        def g(x):
+            digits = mp.mp.dps + 10 + 2 * int(mp.log10(x))
+            a = amplification_mp(sigma, mu, x, dps=digits)
+            return (a * a - 1) / (x * x)
+
+        excess = mp.fsum(g(mp.mpf(n)) for n in range(1, m_terms + 1))
+        x0 = mp.mpf(m_terms) + mp.mpf(1) / 2
+        tail = (mp.quad(g, [x0 * 4 ** k for k in range(11)])
+                + mp.diff(g, x0, 1) / 24 - 7 * mp.diff(g, x0, 3) / 5760)
+        return mp.sqrt((1 + (excess + tail) / mp.zeta(2)) / 3)
+
+
 # ---------------------------------------------------------------------------
 # spike-search refinement
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,21 @@ class TestCleanUsageErrors:
         monkeypatch.setattr(cli, site, exhausted)
         assert run_main(*command) == 2
         assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("command", [
+        ["bode", "--sigma", "1", "--mu", "0", "--omega-min", "1",
+         "--omega-max", "2", "--points", "100000000", "--out", "-"],
+        ["sweep", "--sigma", "1", "--mu-max", "1", "--points", "100000000",
+         "--out", "-"]], ids=["bode", "sweep"])
+    def test_oversized_grid_refused_before_it_is_built(self, capsys,
+                                                       command):
+        # a 1e8-point grid would allocate gigabytes; the 2^20 budget is
+        # checked first, so the refusal is immediate
+        t0 = time.perf_counter()
+        assert run_main(*command) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == (
+            "", "error: points must be at most 1048576, got 100000000\n")
 
     @pytest.mark.parametrize("options, line", [
         (["simulate", "--omega", "1", "--amplitude", "inf"],

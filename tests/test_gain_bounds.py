@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,8 @@ from wavegain.gain_bounds import (
     SupUpperBoundProblem,
     U2Value,
     _amplification_array,
+    _tail_conditions,
+    _tail_convex_from,
     gain_bounds,
     lower_l2,
     lower_sup,
@@ -199,18 +202,72 @@ class TestUpperL2:
             assert u.terms > 0
 
     def test_truncation_bound_covers_longer_sum(self):
-        # the recorded bound dominates what 19 N further modes add
-        for sigma, mu in [(1.0, 0.0), (0.05, 0.1)]:
+        # 20x the modes the plain partial sum used to take (14,866 and
+        # 109,531), plus that sum's proven remainder: past L > 2/(pi sigma)
+        # modes the envelope leaves at most 16 w^2 (1 + w^2) /
+        # (3 (pi sigma)^2 L^3) of D. The printed value must lie within the
+        # recorded bound of the result.
+        for sigma, mu, old_terms in [(1.0, 0.0, 14866), (0.05, 0.1, 109531)]:
             p = DampingParams(sigma, mu)
             u = upper_l2(p)
+            last = 20 * old_terms
             excess = 0.0
-            for start in range(1, 20 * u.terms + 1, 1 << 18):
-                ns = np.arange(start, min(start + (1 << 18), 20 * u.terms + 1),
+            for start in range(1, last + 1, 1 << 18):
+                ns = np.arange(start, min(start + (1 << 18), last + 1),
                                dtype=float)
                 a = _amplification_array(p, ns)
                 excess += float(((a * a - 1.0) / (ns * ns)).sum())
-            longer = math.sqrt(1.0 + excess / ZETA2) * INV_SQRT3
+            w2 = 1.0 - mu * sigma
+            rest = (16.0 * w2 * (1.0 + w2)
+                    / (3.0 * (math.pi * sigma) ** 2 * last ** 3))
+            longer = math.sqrt(1.0 + (excess + rest) / ZETA2) * INV_SQRT3
             assert abs(float(u) - longer) <= u.truncation_error_bound, sigma
+
+    @pytest.mark.parametrize("damping_product", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("sigma", [1.0, 0.05, 1e-2, 1e-3])
+    def test_bracket_holds_the_whole_series(self, sigma, damping_product):
+        ref = oc.u2_series_mp(sigma, damping_product / sigma)
+        u = upper_l2(DampingParams(sigma, damping_product / sigma))
+        value, width = mp.mpf(float(u)), u.truncation_error_bound
+        assert value >= ref  # the tail enters at its upper end
+        assert value - width <= ref
+        assert value - ref <= width + 1e-15 * ref
+
+    @given(log_sigma=st.floats(-4.0, math.log10(5.0)),
+           damping_product=st.floats(0.0, 1.0, exclude_max=True))
+    def test_work_past_n0_is_bounded(self, log_sigma, damping_product):
+        # the explicit sum stops within 10,000 modes of n0 = 2/(pi sigma)
+        sigma = 10.0 ** log_sigma
+        u = upper_l2(DampingParams(sigma, damping_product / sigma))
+        assert u.terms <= math.ceil(2.0 / (math.pi * sigma)) + 10_000
+        assert u.truncation_error_bound <= 1e-13 * u
+
+    def test_tiny_sigma_completes(self):
+        # 149M terms under the plain partial sum
+        u = upper_l2(DampingParams(1e-6, 0.0))
+        assert u.terms <= 1_000_000
+        assert u.truncation_error_bound <= 1e-13 * u
+
+    @pytest.mark.parametrize("w", [1.0, 0.5, 0.1, 1e-2, 1e-4, 1e-8])
+    def test_tail_convex_past_its_proven_start(self, w):
+        # spot-checks the docstring's proof: past u_c = _tail_convex_from(w)
+        # both of its conditions hold, and g(n) = (A_n^2 - 1)/n^2 has a
+        # positive second derivative at 30 digits (pi sigma = 1, so n = u)
+        sigma = 1.0 / math.pi
+        mu = (1.0 - w * w) / sigma
+        w = math.sqrt(1.0 - mu * sigma)
+        u_c = _tail_convex_from(w)
+
+        def g(x):
+            a = oc.amplification_mp(sigma, mu, x, dps=mp.mp.dps + 20)
+            return (a * a - 1) / (x * x)
+
+        for u in [u_c * (1.0 + 0.02 * k) for k in range(40)] + [
+                4 * u_c, 30 * u_c, 1e3 * u_c]:
+            theta = math.acosh((u * u - 1.0 - w * w) / (2.0 * w))
+            assert _tail_conditions(w, theta), u
+            with mp.workdps(30):
+                assert mp.diff(g, mp.mpf(u), 2) > 0, u
 
     @given(log_sigma=st.floats(-2.0, 1.0),
            damping_product=st.floats(0.0, 1.0, exclude_max=True))
