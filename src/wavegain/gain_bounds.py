@@ -552,7 +552,8 @@ def upper_l2(params: DampingParams) -> U2Value:
     w2 = 1.0 - musig
     w = math.sqrt(w2)
     pis = math.pi * params.sigma
-    envelope = 16.0 * w2 * (1.0 + w2) / (3.0 * pis ** 2)  # / M^3 or X^3
+    # the envelope leaves at most envelope / L^3 of D past L > n0 modes
+    envelope = 16.0 * w2 * (1.0 + w2) / (3.0 * pis ** 2)
     m_terms = math.ceil(2.0 / pis) + 1
     excess = _explicit_excess(params, 1, m_terms + 1)
     # the tail bracket's width budget in D; U_2's relative slope in D is
@@ -568,6 +569,9 @@ def upper_l2(params: DampingParams) -> U2Value:
         x1 = m_terms + 1.0
         panels = max(8, math.ceil(math.sqrt(
             20.0 * w2 / (pis * pis * x1 ** 3 * budget))))
+        # int_{M+1}^inf g: per panel, midpoint <= integral <= trapezoid;
+        # past the last node, 0 <= integral <= the envelope's. The cap
+        # bounds memory; a wider bracket is still reported as it is.
         while True:
             nodes = x1 * panels / np.arange(panels, 0, -1, dtype=float)
             mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -581,6 +585,7 @@ def upper_l2(params: DampingParams) -> U2Value:
             if trap_sum - mid_sum <= 0.5 * budget or panels >= 1 << 16:
                 break
             panels *= 2
+        # the cell bracket, with int_{M+1/2}^{M+1} g by one trapezoid
         lo = mid_sum + 0.5 * g_nodes[0]
         hi = trap_sum + 0.25 * (g[-1] + g_nodes[0])
 
