@@ -160,19 +160,12 @@ def amplitude_at(point: FrequencyPoint, x):
 # sup-norm gain Abar(omega)
 # ---------------------------------------------------------------------------
 
-# Elements per 2-D (omega x x) block of the sup-gain grid: each temporary
-# stays at 2^13 doubles (64 KB) unless a single row is longer (more than
-# 256 periods of cos(2bx)). A row of one to five periods has 33 to 161
-# points, so a block holds 50 to 250 such rows.
+# Elements per 2-D (omega x x) block of the sup-gain grid: 248 rows of 33.
 _BLOCK = 1 << 13
-# Points allowed in one row of the sup-gain grid (2^20, 8 MB per temporary);
-# a row that needs more raises ValueError before anything is allocated.
-_MAX_ROW_POINTS = 1 << 20
-# Points allowed in a bode or sweep grid (2^20); the CLI refuses a larger
-# --points before it builds the grid.
+# Points allowed in a bode or sweep grid, and output steps allowed in a
+# simulation (2^20 each); both are refused before anything is allocated.
 _MAX_GRID_POINTS = 1 << 20
-# Safety cap on the lockstep Newton loop; the most passes measured is 6
-# (test_newton_pass_budget's grid), the same on 33-point and 1025-point rows.
+# Safety cap on the lockstep Newton loop (test_newton_pass_budget: at most 6)
 _NEWTON_MAX_ITER = 64
 
 
@@ -254,26 +247,25 @@ def _newton_roots(a, b, lo, hi, x):
     return x, passes
 
 
-def _grid_peaks(a, b, x_lo, m, rows, best):
-    """Sample rows on np.linspace(x_lo, 1, m+1); store each row's grid
+def _grid_peaks(a, b, x_lo, rows, best):
+    """Sample rows on np.linspace(x_lo, 1, 33); store each row's grid
     maximum in best and return (row, lo, hi, x0) of every grid-local maximum.
     The block's temporaries are freed on return."""
-    xs = np.linspace(x_lo[rows], 1.0, m + 1, axis=1)
+    xs = np.linspace(x_lo[rows], 1.0, 33, axis=1)
     fs = _sup_objective(a[rows, None], b[rows, None], xs)
     best[rows] = fs.max(axis=1)
     r, c = np.nonzero(grid_local_maxima(fs))
-    return (rows[r], xs[r, np.maximum(c - 1, 0)], xs[r, np.minimum(c + 1, m)],
+    return (rows[r], xs[r, np.maximum(c - 1, 0)], xs[r, np.minimum(c + 1, 32)],
             xs[r, c])
 
 
 def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
     """Abar over a 1-D array of frequencies with mu*sigma < 1.
 
-    Each row is sampled on np.linspace(x_lo, 1, n+1); rows with the same n
-    are evaluated together in blocks of about _BLOCK elements. Every
-    grid-local maximum (grid_local_maxima) gives a bracket
-    [x_(i-1), x_(i+1)], and all brackets of all rows are refined together by
-    _newton_roots on the stationarity condition below.
+    Each row is sampled on 33 points of [x_lo, 1], in blocks of _BLOCK
+    elements. Every grid-local maximum gives a bracket [x_(i-1), x_(i+1)],
+    and all brackets of all rows are refined together by _newton_roots on
+    the stationarity condition below.
 
     The objective F(x) = (cosh(2ax) - cos(2bx)) / (cosh(2a) - cos(2b)) has
     F'(x) = 2 g(x) / (cosh(2a) - cos(2b)) with
@@ -288,42 +280,25 @@ def _sup_gain_rows(params: DampingParams, w: np.ndarray) -> np.ndarray:
     grid value stands. A row's value is the larger of its grid maximum and
     F at its roots, so it is never below the grid.
 
-    Grid density: n = 32 points per period pi/b of cos(2bx) on [x_lo, 1],
-    16 per lobe, at least 32. F has at most one local maximum per period: a
-    maximum is a down-crossing of g, so g' <= 0 there. Where cos(2bx) >= 0,
-    g' > 0. On each half-period where cos(2bx) < 0, the third derivative
+    Grid. cosh is increasing and cos(2bx) has period pi/b, so F(x + pi/b)
+    >= F(x): the maximum lies in the last period, x >= 1 - pi/b. When
+    a >= 20, exp(-2a(1-x)) also confines it to x > 1 - 20/a (the rest is
+    below 4e-40 of F(1)). x_lo is the larger bound, and 32 intervals cover
+    at most one period, 16 per lobe. F has at most one local maximum per
+    period: there g crosses down, so g' <= 0. Where cos(2bx) >= 0, g' > 0;
+    on each half-period where cos(2bx) < 0, the third derivative
     8a^4 cosh(2ax) - 8b^4 cos(2bx) of g is positive, so g' is convex there,
-    negative on at most one interval, and g crosses down at most once. Rows
-    with 32 periods or more have always been sampled by this rule. The other
-    rows used to get a floor of 1024 points, which was never shown to be
-    needed. n is computed in float and checked before any allocation: a row
-    above _MAX_ROW_POINTS raises ValueError naming sigma and omega. A root
-    that overflows (a = b = inf) makes n NaN; that row keeps the smallest
-    grid and evaluates to NaN, which callers report as a non-finite gain.
+    negative on at most one interval, and g crosses down at most once. A
+    root that overflows (a = b = inf) gives NaN, which callers report as a
+    non-finite gain.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN n, see above
-        _, _, a, b = _polar_arrays(params.sigma, params.mu, w)
-        # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
-        # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)
-        x_lo = 1.0 - 20.0 / np.maximum(a, 20.0)
-        n = 32.0 * np.maximum(1.0, np.ceil(b * (1.0 - x_lo) / math.pi))
-    big = n > _MAX_ROW_POINTS
-    if big.any():
-        i = int(np.flatnonzero(big)[0])
-        raise ValueError(
-            f"sigma={params.sigma!r}, omega={float(w[i])!r}: the sup-gain "
-            f"grid would need {n[i]:.3g} points, above the cap of "
-            f"{_MAX_ROW_POINTS} per frequency")
-    n = np.where(np.isnan(n), 32.0, n).astype(np.int64)
+    _, _, a, b = _polar_arrays(params.sigma, params.mu, w)
+    x_lo = np.maximum(1.0 - 20.0 / np.maximum(a, 20.0),
+                      1.0 - math.pi / np.maximum(b, math.pi))
     best = np.empty_like(a)
-    found = []  # per block: (row, lo, hi, x0) of every grid-local maximum
-    order = np.argsort(n, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(n[order])) + 1):
-        m = int(n[group[0]])
-        per_block = max(1, _BLOCK // (m + 1))
-        for s in range(0, group.size, per_block):
-            rows = group[s:s + per_block]
-            found.append(_grid_peaks(a, b, x_lo, m, rows, best))
+    rows, per_block = np.arange(a.size), _BLOCK // 33
+    found = [_grid_peaks(a, b, x_lo, rows[s:s + per_block], best)
+             for s in range(0, a.size, per_block)]
     row, lo, hi, x0 = _pow2_length(*(np.concatenate(p) for p in zip(*found)))
     ar, br = a[row], b[row]
     roots, _ = _newton_roots(ar, br, lo, hi, x0)
@@ -343,10 +318,9 @@ def sup_gain_at(params: DampingParams, omega):
 
     For mu*sigma >= 1 the objective is strictly increasing in x
     (a >= b there, and a*sinh(2ax) >= 2a^2 x >= 2b^2 x >= b*|sin(2bx)|), so
-    the maximum sits at x=1 with value exactly 1. Otherwise the maximum is
-    located on a grid of 16 points per oscillation lobe (at least 32, at most
-    2^20: ValueError naming sigma and omega beyond that) and polished by
-    bracketed Newton on its stationarity condition (see _sup_gain_rows).
+    the maximum sits at x=1 with value exactly 1. Otherwise it lies in the
+    last period pi/b, is located on 33 points there and polished by
+    bracketed Newton (see _sup_gain_rows).
     Where the characteristic root underflows to 0 (omega below about
     1e-162 at mu = 0) the value is the omega -> 0 limit 1. Each value
     depends only on its own omega: an array call equals the one-element
@@ -356,7 +330,8 @@ def sup_gain_at(params: DampingParams, omega):
     if params.mu * params.sigma >= 1.0 or wv.size == 0:
         out = np.ones_like(wv)
     else:
-        with np.errstate(invalid="ignore"):  # 0/0 where the root underflows
+        # 0/0 where the root underflows, overflow where it is huge
+        with np.errstate(over="ignore", invalid="ignore"):
             out = _sup_gain_rows(params, wv)
     return float(out[0]) if scalar else out
 

@@ -125,8 +125,10 @@ class SupUpperBoundProblem:
     def from_params(cls, params: DampingParams) -> Optional["SupUpperBoundProblem"]:
         if not _feasible(params):
             return None
-        s = (params.mu * params.sigma - 1.0) / params.sigma ** 2
-        theta_max = math.pi - math.sqrt(abs(s) - s)  # = pi when s >= 0
+        sig2 = params.sigma ** 2
+        # sigma^2 underflows to 0 only where mu*sigma > 1: there s = +inf
+        s = (params.mu * params.sigma - 1.0) / sig2 if sig2 else math.inf
+        theta_max = math.pi - math.sqrt(max(0.0, -2.0 * s))  # pi if s >= 0
         return cls(s=s, theta_max=theta_max)
 
     def objective(self, theta):
@@ -152,14 +154,19 @@ def upper_sup(params: DampingParams) -> Optional[float]:
     the frequency search (refine_local_maxima on its negative: about eight
     passes of 16 points per grid minimum).
     The result is clamped below at 1 (the gain itself never drops below 1).
+    An infimum past the float range raises ValueError naming sigma and mu.
     """
     problem = SupUpperBoundProblem.from_params(params)
     if problem is None:
         return None
     thetas = np.linspace(0.0, problem.theta_max, 4098)[1:-1]
-    vals = problem.objective(thetas)
-    _, neg_best = refine_local_maxima(
-        lambda t: -problem.objective(t), thetas, -vals, tol=1e-10)
+    with np.errstate(over="ignore", divide="ignore"):  # inf: refused below
+        vals = problem.objective(thetas)
+        _, neg_best = refine_local_maxima(
+            lambda t: -problem.objective(t), thetas, -vals, tol=1e-10)
+    if neg_best == -math.inf:
+        raise ValueError(f"sigma={params.sigma!r}, mu={params.mu!r}: U_inf "
+                         f"is past the float range")
     return max(1.0, -neg_best)
 
 
@@ -213,22 +220,24 @@ def _spike_search(params, search, evaluate, limit_value):
             return True
         return False
 
-    scan(np.geomspace(OMEGA_MIN, hi, search.base_points))
-
-    stale = 0
-    for n in range(1, math.ceil(hi / math.pi) + 1):
-        center = n * math.pi
-        a = max(OMEGA_MIN, center - WINDOW_HALF_WIDTH)
-        b = min(hi, center + WINDOW_HALF_WIDTH)
-        if a >= b:
-            continue
-        count = _window_point_count(float(_mode_table(params, n).rate))
-        if scan(np.linspace(a, b, count)):
-            stale = 0
-        else:
-            stale += 1
-            if stale >= STALE_WINDOWS:
-                break
+    # NaN gains past omega ~ 1.3e154 are never a maximum; a rate overflows to
+    # -inf past mu ~ 2.7e154, which gives a window the full 513 points
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan(np.geomspace(OMEGA_MIN, hi, search.base_points))
+        stale = 0
+        for n in range(1, math.ceil(hi / math.pi) + 1):
+            center = n * math.pi
+            a = max(OMEGA_MIN, center - WINDOW_HALF_WIDTH)
+            b = min(hi, center + WINDOW_HALF_WIDTH)
+            if a >= b:
+                continue
+            count = _window_point_count(float(_mode_table(params, n).rate))
+            if scan(np.linspace(a, b, count)):
+                stale = 0
+            else:
+                stale += 1
+                if stale >= STALE_WINDOWS:
+                    break
     return best_v, best_w
 
 
@@ -237,7 +246,9 @@ class SupLowerBound(NamedTuple):
 
     conditional is True when the finite-gain regime is not established, in
     which case the value bounds the gain only if the gain is finite at all.
-    argmax_omega = 0.0 marks the omega -> 0 limit.
+    argmax_omega = 0.0 marks the omega -> 0 limit. It is fixed only to the
+    curve's rounding plateau at its maximum: ulp-level changes in
+    sup_gain_at moved it by 5.2e-8 at (sigma, mu) = (0.01, 2.0).
     """
 
     value: float
@@ -403,6 +414,9 @@ class U2Value(float):
 _CHUNK = 1 << 16
 # The tail bracket may cost U_2 at most this relative width.
 _U2_RTOL = 1e-13
+# Explicit U_2 terms allowed below n0 = 2/(pi sigma) (2^28, a few seconds per
+# 10^8 terms): at mu*sigma < 1 that refuses sigma below 2/(pi 2^28) ~ 2.37e-9.
+_U2_MAX_TERMS = 1 << 28
 
 
 def _excess_terms(params: DampingParams, ns) -> np.ndarray:
@@ -543,18 +557,22 @@ def upper_l2(params: DampingParams) -> U2Value:
     1700 modes and at most a few hundred panels for sigma in [1e-2, 5];
     below about sigma = 1e-3 the explicit part up to n0 dominates and
     grows like 1/sigma. The explicit sum runs in blocks of at most _CHUNK
-    modes.
+    modes. n0 >= _U2_MAX_TERMS raises ValueError before any work.
     """
     musig = params.mu * params.sigma
     if musig >= 1.0:
         return U2Value(INV_SQRT3, truncation_error_bound=0.0, terms=0)
 
+    pis = math.pi * params.sigma
+    n0 = 2.0 / pis
+    if not n0 < _U2_MAX_TERMS:
+        raise ValueError(f"sigma={params.sigma!r} is too small: U_2 would "
+                         f"sum {n0:.3g} terms, above {_U2_MAX_TERMS}")
     w2 = 1.0 - musig
     w = math.sqrt(w2)
-    pis = math.pi * params.sigma
     # the envelope leaves at most envelope / L^3 of D past L > n0 modes
     envelope = 16.0 * w2 * (1.0 + w2) / (3.0 * pis ** 2)
-    m_terms = math.ceil(2.0 / pis) + 1
+    m_terms = math.ceil(n0) + 1
     excess = _explicit_excess(params, 1, m_terms + 1)
     # the tail bracket's width budget in D; U_2's relative slope in D is
     # 1/(2 (zeta(2) + D)), so it costs U_2 at most half of _U2_RTOL
@@ -605,7 +623,7 @@ class GainBounds:
 
     U_inf is None where no finite sup-gain bound is established; there
     L_inf_conditional is True. argmax values of 0.0 mark the omega -> 0
-    limit candidates.
+    limit candidates. argmax_omega_sup holds only to a rounding plateau.
     """
 
     params: DampingParams
@@ -627,9 +645,10 @@ def gain_bounds(params: DampingParams,
     beyond rounding slack.
     """
     search = search or FrequencySearchConfig()
+    # the closed-form bounds refuse what they cannot compute before a search
+    u_2 = upper_l2(params)
     u_inf = upper_sup(params)
     l_inf = lower_sup(params, search)
-    u_2 = upper_l2(params)
     l_2 = lower_l2(params, search)
 
     checks = [

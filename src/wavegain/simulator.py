@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._numerics import composite_simpson
-from .freq_response import DampingParams
+from .freq_response import _MAX_GRID_POINTS, DampingParams
 from .modal import (
     SQRT2,
     DisturbanceSpec,
@@ -36,7 +36,8 @@ class SimConfig:
     Internal stepping is exact per output interval; dt_output only sets how
     often the field is reconstructed and measured. burn_in = None resolves
     to 10 / (smallest modal decay rate), so the reported gains reflect the
-    post-transient regime.
+    post-transient regime. At most _MAX_GRID_POINTS (2^20) output steps
+    t_final/dt_output: more raise ValueError before anything is allocated.
     """
 
     n_modes: int = 512
@@ -54,6 +55,10 @@ class SimConfig:
             raise ValueError(f"t_final must be positive, got {self.t_final!r}")
         if not (self.dt_output > 0.0 and math.isfinite(self.dt_output)):
             raise ValueError(f"dt_output must be positive, got {self.dt_output!r}")
+        steps = self.t_final / self.dt_output
+        if steps >= _MAX_GRID_POINTS + 1:   # floor(steps) > the budget
+            raise ValueError(f"t_final/dt_output must be at most "
+                             f"{_MAX_GRID_POINTS} output steps, got {steps:.6g}")
         if self.burn_in is not None and not (0.0 <= self.burn_in < self.t_final):
             raise ValueError("burn_in must lie in [0, t_final)")
 

@@ -3,7 +3,9 @@
 Everything here is written directly from the defining formulas with
 mpmath/scipy/cmath and shares no code with the package internals, except
 refine_every_maximum, which keeps an earlier form of the package's grid
-refinement as a reference and calls the package's golden section. The
+refinement as a reference and calls the package's golden section, and
+sup_gain_rows_full_span, which keeps the package's sup-gain rows in the form
+that sampled all of [x_lo, 1] and calls the package's kernels. The
 implementations are deliberately naive (literal complex arithmetic, dense
 grids, generic quadrature): correctness over speed. adaptive_simpson_scalar
 likewise keeps the package's one-panel quadrature in its earlier scalar
@@ -21,6 +23,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, optimize
 
+import wavegain.freq_response as fr
 from wavegain._numerics import ZOOM_POINTS, golden_max, grid_local_maxima
 
 SQRT2 = math.sqrt(2.0)
@@ -378,6 +381,67 @@ def u2_series_mp(sigma, mu, dps=30):
         tail = (mp.quad(g, [x0 * 4 ** k for k in range(11)])
                 + mp.diff(g, x0, 1) / 24 - 7 * mp.diff(g, x0, 3) / 5760)
         return mp.sqrt((1 + (excess + tail) / mp.zeta(2)) / 3)
+
+
+# ---------------------------------------------------------------------------
+# sup-gain rows over the full span [x_lo, 1]
+# ---------------------------------------------------------------------------
+
+# the full-span rows' cap and block size, as they were in the package
+_MAX_ROW_POINTS = 1 << 20
+_BLOCK = 1 << 13
+
+
+def _grid_peaks(a, b, x_lo, m, rows, best):
+    """Sample rows on np.linspace(x_lo, 1, m+1); store each row's grid
+    maximum in best and return (row, lo, hi, x0) of every grid-local maximum.
+    The block's temporaries are freed on return."""
+    xs = np.linspace(x_lo[rows], 1.0, m + 1, axis=1)
+    fs = fr._sup_objective(a[rows, None], b[rows, None], xs)
+    best[rows] = fs.max(axis=1)
+    r, c = np.nonzero(grid_local_maxima(fs))
+    return (rows[r], xs[r, np.maximum(c - 1, 0)], xs[r, np.minimum(c + 1, m)],
+            xs[r, c])
+
+
+def sup_gain_rows_full_span(params, w):
+    """The package's _sup_gain_rows before its rows kept only the last
+    period: 32 points per period pi/b over all of [x_lo, 1], rows grouped by
+    their point count n. The reference for the one-period rows, which must
+    agree with it to a few ulp. Call it under np.errstate(invalid="ignore")
+    with mu*sigma < 1, as sup_gain_at calls the package's rows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN n, see above
+        _, _, a, b = fr._polar_arrays(params.sigma, params.mu, w)
+        # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
+        # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)
+        x_lo = 1.0 - 20.0 / np.maximum(a, 20.0)
+        n = 32.0 * np.maximum(1.0, np.ceil(b * (1.0 - x_lo) / math.pi))
+    big = n > _MAX_ROW_POINTS
+    if big.any():
+        i = int(np.flatnonzero(big)[0])
+        raise ValueError(
+            f"sigma={params.sigma!r}, omega={float(w[i])!r}: the sup-gain "
+            f"grid would need {n[i]:.3g} points, above the cap of "
+            f"{_MAX_ROW_POINTS} per frequency")
+    n = np.where(np.isnan(n), 32.0, n).astype(np.int64)
+    best = np.empty_like(a)
+    found = []  # per block: (row, lo, hi, x0) of every grid-local maximum
+    order = np.argsort(n, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(n[order])) + 1):
+        m = int(n[group[0]])
+        per_block = max(1, _BLOCK // (m + 1))
+        for s in range(0, group.size, per_block):
+            rows = group[s:s + per_block]
+            found.append(_grid_peaks(a, b, x_lo, m, rows, best))
+    row, lo, hi, x0 = fr._pow2_length(
+        *(np.concatenate(p) for p in zip(*found)))
+    ar, br = a[row], b[row]
+    roots, _ = fr._newton_roots(ar, br, lo, hi, x0)
+    np.maximum.at(best, row, fr._sup_objective(ar, br, roots))
+    # where r underflows to 0 (omega below about 1e-162 at mu = 0), a = b = 0
+    # and F is 0/0 (sup_gain_at silences that): the omega -> 0 limit 1
+    return np.where((a == 0.0) & (b == 0.0), 1.0,
+                    np.maximum(1.0, np.sqrt(best)))
 
 
 # ---------------------------------------------------------------------------

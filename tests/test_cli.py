@@ -1,6 +1,7 @@
 """Command-line surface: parsing, config precedence, CSV/JSON formats."""
 
 import argparse
+import contextlib
 import inspect
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wavegain import cli
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
@@ -73,11 +75,10 @@ class TestBounds:
         assert capsys.readouterr().err.startswith(
             "error: sigma=5e-324 is too small")
 
-    def test_oversized_sup_gain_grid_is_usage_error(self):
-        # the base scan reaches omega = 4e300, where one row of the sup-gain
-        # grid would need ~1e300 points: refused before allocation. The
-        # address-space limit turns a regression into a failure here, not
-        # into a run that exhausts the machine's memory.
+    def test_sigma_past_the_u2_budget_is_usage_error(self):
+        # U_2 would sum 2/(pi sigma) ~ 6e299 explicit terms: refused before
+        # any is summed. The address-space limit turns a regression into a
+        # failure here, not into a run that exhausts the machine's memory.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -86,10 +87,38 @@ class TestBounds:
              "--mu", "0"], capture_output=True, text=True,
             preexec_fn=limit_memory, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: sigma=1e-300, omega=")
+        assert proc.stderr.startswith("error: sigma=1e-300 is too small")
         assert proc.stderr.count("\n") == 1
-        assert "above the cap" in proc.stderr
         assert proc.stdout == ""
+
+    @settings(max_examples=40)
+    @example(5e-324, 0.0)
+    @example(1e-300, 2e300)     # sigma^2 underflows where mu*sigma >= 1
+    @example(1e-9, 1e300)       # U_inf past the float range
+    @example(2e-9, 5e8)         # mu*sigma = 1: U_2 is 1/sqrt(3), no terms
+    @given(st.floats(math.log(5e-324), math.log(2e-9)).map(math.exp),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                     st.floats(math.log(1e-3), math.log(1e300)).map(math.exp)))
+    def test_tiny_sigma_exits_0_or_2_quickly(self, sigma, mu):
+        # every sigma at or below the U_2 budget's floor either returns
+        # finite bounds or is refused with one line, within 2 s; mu is also
+        # drawn log-uniform so that mu*sigma >= 1 is often reached
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_main("bounds", "--sigma", repr(sigma), "--mu",
+                            repr(mu), "--json")
+        assert time.perf_counter() - t0 < 2.0
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert [ln for ln in err.getvalue().splitlines()
+                    if ln.startswith("error:")] == [err.getvalue().strip()]
+        else:
+            payload = json.loads(out.getvalue())
+            nums = [v for k, v in payload.items()
+                    if k != "L_inf_conditional" and v is not None]
+            assert all(math.isfinite(v) for v in nums)
 
 
 class TestBode:
@@ -297,6 +326,25 @@ class TestCleanUsageErrors:
 
 
 class TestSimulate:
+    def test_output_step_budget_refused_before_allocation(self, tmp_path):
+        # 4e8 output steps would allocate about 9.6 GB before stepping; the
+        # 2^20 budget is checked first. The address-space limit turns a
+        # regression into a failure here, not into a run that exhausts the
+        # machine's memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegain", "simulate", "--sigma", "1",
+             "--mu", "0", "--omega", "1", "--dt-output", "1e-7", "--out",
+             str(tmp_path / "sim.csv")], capture_output=True, text=True,
+            preexec_fn=limit_memory, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: t_final/dt_output must be at most "
+                               "1048576 output steps, got 4e+08\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_sinusoid_with_sidecar(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run_main("simulate", "--sigma", "1", "--mu", "0",

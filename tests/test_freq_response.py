@@ -40,6 +40,25 @@ def sup_gain_cases(draw):
     return sigma, musig / sigma, omegas, order, split
 
 
+@st.composite
+def full_span_cases(draw):
+    """(sigma, mu, omegas) with mu*sigma < 1: frequencies in [1e-3, 1e4],
+    log-uniform, or five across [n*pi - 0.5, n*pi + 0.5] at a resonance with
+    a <~ 1 (there the maximum is interior and above 1, and lies in the first
+    half of the last period on one side of n*pi), or where the root
+    underflows to a = b = 0."""
+    sigma = 10.0 ** draw(st.floats(-6.0, 0.7))
+    musig = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999)))
+    n_max = max(1, int(math.sqrt(2.0 / sigma) / math.pi))  # a ~ sigma w^2/2
+    groups = draw(st.lists(st.one_of(
+        st.floats(-3.0, 4.0).map(lambda e: [10.0 ** e]),
+        st.integers(1, n_max).map(
+            lambda n: list(n * math.pi + np.linspace(-0.5, 0.5, 5))),
+        st.sampled_from([1e-300, 1e-170]).map(lambda w: [w])),
+        min_size=1, max_size=3))
+    return sigma, musig / sigma, [w for g in groups for w in g]
+
+
 class TestDampingParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -301,26 +320,58 @@ class TestSupGain:
             assert val >= dense * (1.0 - 1e-15), (sigma, mu, omega)
 
     def test_grid_points_per_row(self, monkeypatch):
-        # 32 points per period, no floor: a 300-row call near the first
-        # resonances samples under 200 points per row (1025 with a floor)
-        points = []
-        grid_peaks = fr._grid_peaks
+        # one period per row: exactly 33 points, whether [x_lo, 1] spans
+        # under one period of cos(2bx) or over a thousand
+        p = DampingParams(1e-6, 0.0)
+        ws = np.geomspace(0.5, 5e3, 300)
+        _, _, a, b = fr._polar_arrays(p.sigma, p.mu, ws)
+        periods = b * (20.0 / np.maximum(a, 20.0)) / math.pi
+        assert periods.min() < 1.0 and periods.max() > 1000.0
+        shapes = record_grid_shapes(monkeypatch)
+        sup_gain_at(p, ws)
+        assert {cols for _, cols in shapes} == {33}
+        assert sum(rows for rows, _ in shapes) == ws.size
 
-        def counting(a, b, x_lo, m, rows, best):
-            points.append((m + 1) * rows.size)
-            return grid_peaks(a, b, x_lo, m, rows, best)
+    def test_rows_need_no_cap_at_tiny_sigma(self, monkeypatch):
+        # at sigma = 1e-300 a row over all of [0, 1] would need about 1e7
+        # and 1e151 points at omega = 1e6 and 1e150; the last period needs
+        # 33. (Past omega ~ 1.3e154, r = |lambda|^2 overflows and the value
+        # is NaN.)
+        shapes = record_grid_shapes(monkeypatch)
+        got = sup_gain_at(DampingParams(1e-300, 0.0), [1.0, 1e6, 1e150])
+        assert np.all(np.isfinite(got)) and np.all(got >= 1.0)
+        assert shapes == [(3, 33)]
 
-        monkeypatch.setattr(fr, "_grid_peaks", counting)
-        sup_gain_at(DampingParams(0.1, 0.2), np.linspace(0.5, 60.0, 300))
-        assert sum(points) / 300 <= 200
+    @settings(max_examples=60)
+    @example((4e-8, 0.0, [3.16e4, 2.0]))     # 10^4 periods; b < pi
+    @example((1e-6, 0.0, [1e4, 1e-300]))     # ~1300 periods; a = b = 0
+    @example((1e-3, 0.5, [1e-170, 3.1416]))  # b tiny but nonzero
+    @given(full_span_cases())
+    def test_one_period_rows_match_full_span_reference(self, case):
+        # the last-period rows agree with the old full-span rows to 4 ulp
+        sigma, mu, omegas = case
+        p = DampingParams(sigma, mu)
+        ws = np.array(omegas)
+        got = sup_gain_at(p, ws)
+        with np.errstate(invalid="ignore"):
+            want = oc.sup_gain_rows_full_span(p, ws)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want)), (
+            got, want)
 
-    def test_grid_size_cap(self):
-        # a row that would need more than 2^20 points is refused before
-        # anything is allocated, naming sigma and omega
-        p = DampingParams(1e-300, 0.0)
-        with pytest.raises(ValueError, match=r"sigma=1e-300, omega=1000000\.0"):
-            sup_gain_at(p, [1.0, 1e6])
-        assert sup_gain_at(p, 1e5) >= 1.0   # about 2^20 points: allowed
+
+def record_grid_shapes(monkeypatch):
+    """List that collects the shape of every 2-D grid the sup-gain rows
+    evaluate: (rows, points per row) per block."""
+    shapes = []
+    objective = fr._sup_objective
+
+    def recording(a, b, x):
+        if np.ndim(x) == 2:
+            shapes.append(x.shape)
+        return objective(a, b, x)
+
+    monkeypatch.setattr(fr, "_sup_objective", recording)
+    return shapes
 
 
 class TestL2Stats:

@@ -8,6 +8,7 @@ against 25-digit quadrature of the forcing kernels.
 import dataclasses
 import importlib
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -66,6 +67,12 @@ class TestSupUpperBound:
             val = upper_sup(DampingParams(sigma, mu))
             if val is not None:
                 assert val >= 1.0
+
+    @pytest.mark.parametrize("sigma, mu", [(1e-9, 1e300), (1e-300, 2e300)])
+    def test_past_the_float_range_is_refused(self, sigma, mu):
+        # s = (mu sigma - 1)/sigma^2 overflows, or sigma^2 underflows to 0
+        with pytest.raises(ValueError, match="U_inf is past the float range"):
+            upper_sup(DampingParams(sigma, mu))
 
     def test_objective_matches_brute_minimum(self):
         # the bound is the minimum of the objective over the open interval
@@ -238,6 +245,22 @@ class TestUpperL2:
         u = upper_l2(DampingParams(1e-6, 0.0))
         assert u.terms <= 1_000_000
         assert u.truncation_error_bound <= 1e-13 * u
+
+    @pytest.mark.parametrize("sigma", [2e-9, 1e-300, 5e-324])
+    def test_term_budget_refuses_tiny_sigma_at_once(self, sigma):
+        # 2/(pi sigma) explicit terms exceed 2^28 below sigma ~ 2.37e-9:
+        # ValueError naming sigma before any is summed (1e-300 and 5e-324
+        # used to raise ZeroDivisionError, and 1e-100 did not return)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match=f"sigma={sigma!r} is too small"):
+            upper_l2(DampingParams(sigma, 0.0))
+        assert time.perf_counter() - t0 < 1.0
+        # where mu*sigma >= 1 no term is summed, whatever sigma (no float
+        # mu reaches mu*sigma >= 1 at sigma = 5e-324)
+        if math.isfinite(2.0 / sigma):
+            u = upper_l2(DampingParams(sigma, 2.0 / sigma))
+            assert float(u) == INV_SQRT3 and u.terms == 0
 
     @pytest.mark.parametrize("w", [1.0, 0.5, 0.1, 1e-2, 1e-4, 1e-8])
     def test_tail_convex_past_its_proven_start(self, w):

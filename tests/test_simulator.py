@@ -27,6 +27,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(t_final=10.0, burn_in=10.0)
 
+    def test_output_step_budget(self):
+        # at most 2^20 output steps, floor(t_final/dt_output)
+        SimConfig(t_final=0.5 * 2**20, dt_output=0.5)
+        SimConfig(t_final=0.5 * 2**20 + 0.25, dt_output=0.5)
+        for t_final, dt in [(0.5 * 2**20 + 0.5, 0.5), (40.0, 1e-7),
+                            (1e300, 1e-300)]:
+            with pytest.raises(ValueError, match="at most 1048576 output"):
+                SimConfig(t_final=t_final, dt_output=dt)
+
     def test_resolved_burn_in_capped_at_half_horizon(self):
         cfg = SimConfig(t_final=8.0)
         p = DampingParams(1e-4, 0.0)  # very slow decay, cap must bind
