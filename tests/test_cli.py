@@ -70,7 +70,7 @@ class TestBounds:
         assert err == "error: internal: L_2=2 exceeds U_2=1\n"
 
     def test_tiny_sigma_is_usage_error(self, capsys):
-        # 4/sigma overflows the default search range
+        # 2/(pi sigma) overflows: the U_2 term budget refuses it first
         assert run_main("bounds", "--sigma", "5e-324", "--mu", "0") == 2
         assert capsys.readouterr().err.startswith(
             "error: sigma=5e-324 is too small")

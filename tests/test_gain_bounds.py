@@ -390,6 +390,13 @@ class TestLowerBounds:
         r = lower_l2(DampingParams(1.0, 1.0), search)
         assert r.value >= INV_SQRT3 - 1e-12
 
+    def test_infinite_search_range_is_refused(self):
+        # 4/sigma overflows; gain_bounds refuses such sigma earlier, by the
+        # U_2 term budget, so only the searches called directly reach this
+        for search in (lower_sup, lower_l2):
+            with pytest.raises(ValueError, match="search range"):
+                search(DampingParams(5e-324, 0.0))
+
     def test_resolved_omega_max(self):
         cfg = FrequencySearchConfig()
         assert cfg.resolved_omega_max(1.0) == pytest.approx(20.0 * math.pi)
