@@ -410,7 +410,7 @@ def sup_gain_rows_full_span(params, w):
     their point count n. The reference for the one-period rows, which must
     agree with it to a few ulp. Call it under np.errstate(invalid="ignore")
     with mu*sigma < 1, as sup_gain_at calls the package's rows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN n, see above
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN n at a = inf
         _, _, a, b = fr._polar_arrays(params.sigma, params.mu, w)
         # when a >= 20 the exp(-2a(1-x)) factor confines the maximum to
         # x > 1 - 20/a (the rest of [0, 1] is below 4e-40 of the x=1 value)

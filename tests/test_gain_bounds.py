@@ -249,8 +249,7 @@ class TestUpperL2:
     @pytest.mark.parametrize("sigma", [2e-9, 1e-300, 5e-324])
     def test_term_budget_refuses_tiny_sigma_at_once(self, sigma):
         # 2/(pi sigma) explicit terms exceed 2^28 below sigma ~ 2.37e-9:
-        # ValueError naming sigma before any is summed (1e-300 and 5e-324
-        # used to raise ZeroDivisionError, and 1e-100 did not return)
+        # ValueError naming sigma before any is summed
         t0 = time.perf_counter()
         with pytest.raises(ValueError,
                            match=f"sigma={sigma!r} is too small"):
