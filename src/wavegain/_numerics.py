@@ -168,21 +168,27 @@ def composite_simpson(ys, dx):
     throughout; odd interval counts use the 1/3 rule on the first n-3
     intervals and the 3/8 rule on the last three (or trapezoid when only a
     single interval exists).
+
+    Integrates along the last axis, so an N-D array gives one integral per
+    row, each bit for bit the integral of that row alone.
     """
     ys = np.asarray(ys, dtype=float)
-    n = ys.size - 1  # number of intervals
+    n = ys.shape[-1] - 1 if ys.ndim else 0  # number of intervals
     if n < 1:
         raise ValueError("need at least two samples")
     if n == 1:
-        return 0.5 * dx * (ys[0] + ys[1])
+        return 0.5 * dx * (ys[..., 0] + ys[..., 1])
     if n == 2:
-        return dx / 3.0 * (ys[0] + 4.0 * ys[1] + ys[2])
+        return dx / 3.0 * (ys[..., 0] + 4.0 * ys[..., 1] + ys[..., 2])
     if n % 2 == 0:
-        s = ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2])
+        s = (ys[..., 0] + ys[..., -1] + 4.0 * np.sum(ys[..., 1:-1:2], axis=-1)
+             + 2.0 * np.sum(ys[..., 2:-2:2], axis=-1))
         return dx / 3.0 * s
-    head = composite_simpson(ys[: n - 2], dx)  # n-3 intervals, even count
-    tail = 3.0 * dx / 8.0 * (ys[-4] + 3.0 * ys[-3] + 3.0 * ys[-2] + ys[-1])
-    return head + tail
+    tail = 3.0 * dx / 8.0 * (ys[..., -4] + 3.0 * ys[..., -3]
+                             + 3.0 * ys[..., -2] + ys[..., -1])
+    if n == 3:
+        return tail
+    return composite_simpson(ys[..., : n - 2], dx) + tail  # n-3 even, first
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):

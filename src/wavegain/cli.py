@@ -202,8 +202,8 @@ def cmd_simulate(sigma, mu, disturbance, out, n_modes=SimConfig.n_modes,
         (a,), (q,) = _frequency_gains(params, [disturbance.omega])
 
     lines = ["t,sup_norm,l2_norm"]
-    lines += [f"{_fmt(t)},{_fmt(s)},{_fmt(l)}"
-              for t, s, l in zip(res.t, res.sup_norm, res.l2_norm)]
+    lines += [f"{_fmt(t)},{_fmt(s)},{_fmt(l)}" for t, s, l in zip(
+        res.t.tolist(), res.sup_norm.tolist(), res.l2_norm.tolist())]
     _write_lines(out, lines)
 
     dist = {"kind": disturbance.kind}

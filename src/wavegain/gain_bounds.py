@@ -51,7 +51,14 @@ class InternalConsistencyError(AssertionError):
 
 
 def _feasible(params: DampingParams) -> bool:
-    # the regime where the sup-gain is known finite
+    # the regime where the sup-gain is known finite, 2 < 2 mu sigma +
+    # sigma^2 pi^2: it holds for every sigma > 0 once mu sigma >= 1, even
+    # where sigma^2 underflows to 0. That test is exact on the float inputs:
+    # (a/b)(c/d) >= 1 in integers
+    (a, b), (c, d) = (params.mu.as_integer_ratio(),
+                      params.sigma.as_integer_ratio())
+    if a * c >= b * d:
+        return True
     return 2.0 < 2.0 * params.mu * params.sigma + params.sigma ** 2 * math.pi ** 2
 
 
@@ -126,8 +133,10 @@ class SupUpperBoundProblem:
         if not _feasible(params):
             return None
         sig2 = params.sigma ** 2
-        # sigma^2 underflows to 0 only where mu*sigma > 1: there s = +inf
-        s = (params.mu * params.sigma - 1.0) / sig2 if sig2 else math.inf
+        excess = params.mu * params.sigma - 1.0
+        # sigma^2 underflows to 0 only where mu*sigma >= 1: there s = +inf,
+        # or 0 at mu*sigma = 1
+        s = excess / sig2 if sig2 else (math.inf if excess else 0.0)
         theta_max = math.pi - math.sqrt(max(0.0, -2.0 * s))  # pi if s >= 0
         return cls(s=s, theta_max=theta_max)
 

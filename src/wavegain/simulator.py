@@ -28,6 +28,11 @@ from .modal import (
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
+# About this many doubles (256 KiB) per work array of a block of output
+# steps: a block has _BLOCK_VALUES // max(2(x_points - 1), n_modes) rows,
+# at least one.
+_BLOCK_VALUES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -127,10 +132,10 @@ def _segment_breaks(d: DisturbanceSpec, t0: float, t1: float):
     return tuple(t for t, _ in d.knots if t0 < t < t1)
 
 
-def _not_finite(params: DampingParams) -> FloatingPointError:
+def _not_finite(params: DampingParams, cause: str) -> FloatingPointError:
     return FloatingPointError(
         f"simulated field is not finite for sigma={params.sigma!r}, "
-        f"mu={params.mu!r}: the per-mode constants overflow")
+        f"mu={params.mu!r}: {cause}")
 
 
 def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
@@ -150,9 +155,20 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     The fold adds the modes in index order and numpy's pocketfft runs on one
     thread, so the field is bit-identical from run to run.
 
-    Raises FloatingPointError before any stepping when the per-mode
-    constants overflow (e.g. sigma = 1e300), and after the run when a sampled
-    norm is not finite.
+    The stepping loop only stores each output step's modal state. The field
+    is rebuilt once per block of output steps: one 2-D transform with a row
+    per step, one row-wise Simpson sum for the L2 norms. A block has
+    max(1, 2^15 // max(2M, n_modes)) rows (16 at the defaults). Its work
+    arrays are allocated once per run and hold about 2^15 doubles (256 KiB)
+    each, or one row when a single row is larger. Every row is bit for bit
+    the field that its step alone gives.
+
+    Raises ValueError when initial is malformed or not finite, or when a
+    nonzero disturbance leaves no output step at or past the burn-in (e.g.
+    t_final < dt_output at the default burn-in). Raises FloatingPointError
+    before any stepping when the per-mode constants overflow (e.g.
+    sigma = 1e300), and after the run when the field overflows (a sampled
+    norm is not finite).
     """
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
@@ -160,7 +176,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         table = _mode_table(params, ns)
     if not np.isfinite(table.disc).all():
-        raise _not_finite(params)
+        raise _not_finite(params, "the per-mode constants overflow")
     H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
     y = np.zeros(N)
     v = np.zeros(N)
@@ -172,6 +188,8 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
             raise ValueError(
                 "initial must be a pair of equal-length 1-D arrays with at "
                 f"most n_modes={N} entries")
+        if not (np.isfinite(y0).all() and np.isfinite(v0).all()):
+            raise ValueError("initial must hold finite values only")
         y[:y0.size] = y0
         v[:v0.size] = v0
 
@@ -179,12 +197,21 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     dx = xs[1] - xs[0]
     lift_coef = SQRT2 / table.npi
     period = 2 * (config.x_points - 1)
-    slots = np.arange(1, N + 1) % period
 
     n_steps = int(math.floor(config.t_final / config.dt_output + 1e-12))
     times = np.empty(n_steps + 1)
     sup_norm = np.empty(n_steps + 1)
     l2_norm = np.empty(n_steps + 1)
+    # one block's work arrays, reused by every flush: the output steps' modal
+    # states, the transform's input and output, the field and its squares
+    rows = min(max(1, _BLOCK_VALUES // max(period, N)), n_steps + 1)
+    block = np.empty((rows, N))
+    buf = np.empty((rows, period))
+    spec = np.empty((rows, config.x_points), dtype=complex)
+    u = np.empty((rows, config.x_points))
+    work = np.empty((rows, config.x_points))
+    lift_shape = 1.0 - xs
+    filled = done = 0  # rows of block in use; output steps measured
 
     # propagators are cached per step length; sinusoid/constant runs reuse one
     prop_cache = {}
@@ -196,49 +223,77 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
             prop_cache[dt] = hit
         return hit
 
-    def measure(idx, t):
-        dval = d.value(t)
-        coef = y - dval * lift_coef
-        buf = np.bincount(slots, weights=coef, minlength=period)
-        u = -SQRT2 * np.fft.rfft(buf).imag
-        u += dval * (1.0 - xs)
-        times[idx] = t
-        sup_norm[idx] = float(np.abs(u).max())
-        l2_norm[idx] = math.sqrt(max(0.0, composite_simpson(u * u, dx)))
+    def measure(t):
+        nonlocal filled
+        times[done + filled] = t
+        block[filled] = y
+        filled += 1
+        if filled == len(block):
+            flush()
+
+    def flush():
+        nonlocal filled, done
+        k = filled
+        span = slice(done, done + k)
+        dval = d.value(times[span])[:, None]
+        coef = block[:k]
+        coef -= dval * lift_coef
+        # mode n lands at index n mod 2M, added in mode order onto zeros
+        buf[:k] = 0.0
+        for lo in range(0, N + 1, period):  # modes lo .. lo + 2M - 1
+            first, hi = max(lo, 1), min(lo + period, N + 1)
+            buf[:k, first - lo:hi - lo] += coef[:, first - 1:hi - 1]
+        field = np.multiply(
+            np.fft.rfft(buf[:k], axis=-1, out=spec[:k]).imag, -SQRT2,
+            out=u[:k])
+        field += np.multiply(dval, lift_shape, out=work[:k])
+        sup_norm[span] = np.abs(field, out=work[:k]).max(axis=1)
+        l2_norm[span] = np.sqrt(composite_simpson(
+            np.multiply(field, field, out=work[:k]), dx))
+        done += k
+        filled = 0
 
     t = 0.0
-    measure(0, t)
-    # the last segment's end time and particular values; a sinusoid segment
-    # that starts at that same float time reuses them as its start
-    end_t, end = None, None
-    for j in range(n_steps):
-        t_next = t + config.dt_output
-        seg_start = t
-        for brk in _segment_breaks(d, t, t_next) + (t_next,):
-            dt = brk - seg_start
-            if dt <= 0.0:
-                continue
-            (yp0, vp0), (yp1, vp1) = _particular_arrays(
-                table, params.sigma, H, d, seg_start, seg_start + dt,
-                start=end if end_t == seg_start else None)
-            end_t, end = seg_start + dt, (yp1, vp1)
-            p00, p01, p10, p11 = propagator(dt)
-            zy = y - yp0
-            zv = v - vp0
-            y = p00 * zy + p01 * zv + yp1
-            v = p10 * zy + p11 * zv + vp1
-            seg_start = seg_start + dt
-        t = t_next
-        measure(j + 1, t)
+    # a state too large for the field overflows there; refused after the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        measure(t)
+        # the last segment's end time and particular values; a sinusoid
+        # segment that starts at that same float time reuses them as its start
+        end_t, end = None, None
+        for _ in range(n_steps):
+            t_next = t + config.dt_output
+            seg_start = t
+            for brk in _segment_breaks(d, t, t_next) + (t_next,):
+                dt = brk - seg_start
+                if dt <= 0.0:
+                    continue
+                (yp0, vp0), (yp1, vp1) = _particular_arrays(
+                    table, params.sigma, H, d, seg_start, seg_start + dt,
+                    start=end if end_t == seg_start else None)
+                end_t, end = seg_start + dt, (yp1, vp1)
+                p00, p01, p10, p11 = propagator(dt)
+                zy = y - yp0
+                zv = v - vp0
+                y = p00 * zy + p01 * zv + yp1
+                v = p10 * zy + p11 * zv + vp1
+                seg_start = seg_start + dt
+            t = t_next
+            measure(t)
+        if filled:
+            flush()
 
     if not (np.isfinite(sup_norm).all() and np.isfinite(l2_norm).all()):
-        raise _not_finite(params)
+        raise _not_finite(params, "the field overflows")
     burn = config.resolved_burn_in(params)
     denom = d.sup_amplitude(config.t_final)
     if denom == 0.0:
         gain_sup = gain_l2 = None
     else:
         keep = times >= burn
+        if not keep[-1]:
+            raise ValueError(
+                f"no output step lies at or past the burn-in {burn!r}: the "
+                f"last is at t={float(times[-1])!r}")
         gain_sup = float(sup_norm[keep].max()) / denom
         gain_l2 = float(l2_norm[keep].max()) / denom
     return SimResult(t=times, sup_norm=sup_norm, l2_norm=l2_norm,

@@ -174,12 +174,13 @@ def _suite_duality(rng, quick):
         params = fr.DampingParams(sg, m)
         point = fr.polar_params(params, w)
         h, g = fr.profile_at(point, xs)
-        H = mo._transfer_array(params, np.arange(1, n_max + 1), w)
-        for n in range(1, n_max + 1):
-            sn = np.sin(n * math.pi * xs)
-            coef = complex(composite_simpson(h * sn, dx),
-                           composite_simpson(g * sn, dx)) * math.sqrt(2.0)
-            worst = max(worst, abs(coef - H[n - 1]))
+        ns = np.arange(1, n_max + 1)
+        H = mo._transfer_array(params, ns, w)
+        sines = np.sin(ns[:, None] * math.pi * xs)  # row n-1: sin(n pi x)
+        re, im = composite_simpson(np.stack([h, g])[:, None] * sines, dx)
+        for n in range(n_max):
+            coef = complex(re[n], im[n]) * math.sqrt(2.0)
+            worst = max(worst, abs(coef - H[n]))
     return worst, tol, f"3 cases, n <= {n_max}, max absolute gap {worst:.2e}"
 
 

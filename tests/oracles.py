@@ -11,7 +11,9 @@ grids, generic quadrature): correctness over speed. adaptive_simpson_scalar
 likewise keeps the package's one-panel quadrature in its earlier scalar
 form, as the reference for the batched one, and
 refine_local_maxima_arrays keeps the package's zoom in its earlier array
-form, as the reference for the plain-record one. Tests compare package
+form, as the reference for the plain-record one, and simulate_per_step
+keeps the simulator's earlier field reconstruction, one output step at a
+time, as the reference for the blocked one. Tests compare package
 output against these routes live where cheap, and against frozen values
 produced by them where expensive.
 """
@@ -559,3 +561,70 @@ def free_mode_solution(sigma, mu, n, y0, v0, t):
     y = c1 * cmath.exp(s1 * t) + c2 * cmath.exp(s2 * t)
     v = c1 * s1 * cmath.exp(s1 * t) + c2 * s2 * cmath.exp(s2 * t)
     return y.real, v.real
+
+
+def simulate_per_step(params, d, config, initial=None):
+    """(t, sup_norm, l2_norm) of the package's simulation, with the field
+    rebuilt on its own at every output step.
+
+    The package's stepping and per-mode kernels, and its earlier field
+    reconstruction: one bincount fold, one 1-D rfft and one Simpson sum per
+    output step. The reference for the blocked reconstruction, which must
+    give the same bits.
+    """
+    import wavegain.simulator as sim
+    from wavegain._numerics import composite_simpson
+    from wavegain.modal import (_mode_table, _particular_arrays,
+                                _propagator_arrays, _transfer_array)
+
+    N = config.n_modes
+    ns = np.arange(1, N + 1, dtype=float)
+    table = _mode_table(params, ns)
+    H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
+    y = np.zeros(N)
+    v = np.zeros(N)
+    if initial is not None:
+        y0, v0 = (np.asarray(a, dtype=float) for a in initial)
+        y[:y0.size] = y0
+        v[:v0.size] = v0
+    xs = np.linspace(0.0, 1.0, config.x_points)
+    dx = xs[1] - xs[0]
+    lift_coef = SQRT2 / table.npi
+    period = 2 * (config.x_points - 1)
+    slots = np.arange(1, N + 1) % period
+    n_steps = int(math.floor(config.t_final / config.dt_output + 1e-12))
+    times, sups, l2s = [], [], []
+
+    def measure(t):
+        dval = d.value(t)
+        coef = y - dval * lift_coef
+        buf = np.bincount(slots, weights=coef, minlength=period)
+        u = -SQRT2 * np.fft.rfft(buf).imag
+        u += dval * (1.0 - xs)
+        times.append(t)
+        sups.append(float(np.abs(u).max()))
+        l2s.append(math.sqrt(max(0.0, composite_simpson(u * u, dx))))
+
+    t = 0.0
+    measure(t)
+    end_t, end = None, None
+    for _ in range(n_steps):
+        t_next = t + config.dt_output
+        seg_start = t
+        for brk in sim._segment_breaks(d, t, t_next) + (t_next,):
+            dt = brk - seg_start
+            if dt <= 0.0:
+                continue
+            (yp0, vp0), (yp1, vp1) = _particular_arrays(
+                table, params.sigma, H, d, seg_start, seg_start + dt,
+                start=end if end_t == seg_start else None)
+            end_t, end = seg_start + dt, (yp1, vp1)
+            p00, p01, p10, p11 = _propagator_arrays(table, dt)
+            zy = y - yp0
+            zv = v - vp0
+            y = p00 * zy + p01 * zv + yp1
+            v = p10 * zy + p11 * zv + vp1
+            seg_start = seg_start + dt
+        t = t_next
+        measure(t)
+    return np.array(times), np.array(sups), np.array(l2s)

@@ -49,6 +49,18 @@ class TestSupUpperBound:
         assert upper_sup(DampingParams(1.0, 1.0)) == 1.0
         assert upper_sup(DampingParams(2.0, 0.5)) == 1.0
 
+    def test_unit_damping_product_where_sigma_squared_underflows(self):
+        # mu sigma = 1 exactly, sigma^2 = 2^-1200 underflows to 0: the regime
+        # is still feasible, with s = 0, so the bound and the flag match the
+        # ordinary pair (0.5, 2)
+        tiny = DampingParams(2.0 ** -600, 2.0 ** 600)
+        assert tiny.sigma ** 2 == 0.0
+        assert SupUpperBoundProblem.from_params(tiny).s == 0.0
+        assert upper_sup(tiny) == upper_sup(DampingParams(0.5, 2.0)) == 1.0
+        b = gain_bounds(tiny)
+        assert not b.L_inf_conditional
+        assert b.U_inf == 1.0
+
     def test_undefined_when_damping_too_weak(self):
         # needs 2 < 2 mu sigma + sigma^2 pi^2
         assert upper_sup(DampingParams(0.1, 0.0)) is None

@@ -78,6 +78,26 @@ class TestCompositeSimpson:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             composite_simpson(np.array([1.0]), 0.1)
+        with pytest.raises(ValueError):
+            composite_simpson(np.ones((3, 1)), 0.1)
+        with pytest.raises(ValueError):
+            composite_simpson(np.float64(1.0), 0.1)
+
+    def test_three_intervals_use_the_three_eighths_rule_alone(self):
+        # exact on cubics: x^3 on [0, 3] integrates to 81/4
+        assert composite_simpson(np.array([0.0, 1.0, 8.0, 27.0]), 1.0) == 20.25
+
+    @pytest.mark.parametrize("samples", [*range(2, 13), 1024])
+    def test_rows_match_one_dimensional_calls_bit_for_bit(self, samples):
+        # integrates along the last axis; each row is its own 1-D integral
+        rng = np.random.default_rng(samples)
+        ys = rng.normal(size=(2, 7, samples)) * rng.uniform(
+            0.0, 1e3, size=(2, 7, 1))
+        dx = 1.0 / (samples - 1)
+        got = composite_simpson(ys, dx)
+        assert got.shape == (2, 7)
+        want = [[composite_simpson(row, dx) for row in plane] for plane in ys]
+        assert np.array_equal(got, np.array(want))
 
     def test_fourth_order_convergence(self):
         def err(n):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles as oc
 from wavegain._numerics import composite_simpson
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.modal import DisturbanceSpec
@@ -102,6 +103,90 @@ class TestFieldReconstruction:
         assert res.sup_norm[0] == pytest.approx(np.abs(u).max(), rel=1e-12)
         l2 = math.sqrt(composite_simpson(u * u, xs[1] - xs[0]))
         assert res.l2_norm[0] == pytest.approx(l2, rel=1e-12)
+
+
+class TestBlockedReconstruction:
+    """The field is rebuilt per block of output steps; every row must be the
+    bits of the earlier per-step reconstruction (oracles.simulate_per_step)."""
+
+    KNOTS = DisturbanceSpec.piecewise_linear(
+        [(0.0, 0.0), (0.373, 1.2), (1.111, -0.4), (1.9, 0.3)])
+
+    SEEDED = tuple(np.random.default_rng(7).normal(size=(2, 40)))
+
+    @pytest.mark.parametrize("params,d,config,initial", [
+        (DampingParams(0.05, 0.1), DisturbanceSpec.sinusoid(1.0, 3.14),
+         SimConfig(t_final=4.0), None),
+        (DampingParams(1.0, 0.5), DisturbanceSpec.constant(2.0),
+         SimConfig(n_modes=128, t_final=1.0, x_points=256), None),
+        # off-grid knots, 154 output rows: not a multiple of the block
+        (DampingParams(0.3, 2.0), KNOTS,
+         SimConfig(n_modes=96, t_final=2.0, dt_output=0.013, x_points=200),
+         None),
+        # n_modes > 2 (x_points - 1): the modes fold onto the buffer
+        (DampingParams(1.0, 0.0), DisturbanceSpec.sinusoid(1.0, 5.0),
+         SimConfig(n_modes=5000, t_final=0.5, x_points=64), None),
+        # t_final < dt_output: a single row
+        (DampingParams(1.0, 0.0), DisturbanceSpec.sinusoid(1.0, 5.0),
+         SimConfig(n_modes=300, t_final=0.005, x_points=64, burn_in=0.0),
+         None),
+        (DampingParams(0.5, 0.2), DisturbanceSpec.sinusoid(0.7, 2.0, 0.3),
+         SimConfig(n_modes=64, t_final=1.37, x_points=100), SEEDED),
+    ])
+    def test_rows_match_per_step_reconstruction(self, params, d, config,
+                                                initial):
+        res = simulate(params, d, config, initial=initial)
+        t, sup, l2 = oc.simulate_per_step(params, d, config, initial=initial)
+        assert np.array_equal(res.t, t)
+        assert np.array_equal(res.sup_norm, sup)
+        assert np.array_equal(res.l2_norm, l2)
+
+    def test_one_simpson_call_per_block(self, monkeypatch):
+        # 1001 output steps at the defaults: a return to per-step work fails
+        module = importlib.import_module("wavegain.simulator")
+        calls = []
+        real = module.composite_simpson
+
+        def counting(ys, dx):
+            calls.append(np.shape(ys))
+            return real(ys, dx)
+
+        monkeypatch.setattr(module, "composite_simpson", counting)
+        config = SimConfig(t_final=10.0)
+        res = simulate(DampingParams(0.05, 0.1),
+                       DisturbanceSpec.sinusoid(1.0, 3.14), config)
+        assert len(res.t) == 1001
+        rows = module._BLOCK_VALUES // (2 * (config.x_points - 1))
+        assert rows == 16
+        assert len(calls) <= math.ceil(1001 / rows)
+        assert sum(shape[0] for shape in calls) == 1001
+
+
+class TestNonFinite:
+    P = DampingParams(1.0, 0.0)
+    CONFIG = SimConfig(n_modes=2, t_final=0.5, dt_output=0.1, x_points=64)
+
+    @pytest.mark.parametrize("initial", [
+        ([math.nan, 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [0.0, math.inf]),
+        ([-math.inf], [0.0]),
+    ])
+    def test_non_finite_initial_is_value_error(self, initial):
+        with pytest.raises(ValueError, match="initial must hold finite"):
+            simulate(self.P, DisturbanceSpec.constant(1.0), self.CONFIG,
+                     initial=initial)
+
+    def test_overflowing_field_is_floating_point_error(self):
+        # a finite state whose squared field overflows, under the suite's
+        # error::RuntimeWarning: no warning escapes, the run is refused
+        with pytest.raises(FloatingPointError, match="the field overflows"):
+            simulate(self.P, DisturbanceSpec.constant(1.0), self.CONFIG,
+                     initial=([1e200] * 2, [0.0, 0.0]))
+
+    def test_no_output_step_past_burn_in_is_value_error(self):
+        config = SimConfig(n_modes=8, t_final=0.005, x_points=64)
+        with pytest.raises(ValueError, match="no output step lies at or past"):
+            simulate(self.P, DisturbanceSpec.sinusoid(1.0, 5.0), config)
 
 
 class TestSinusoidGains:
