@@ -184,11 +184,10 @@ def composite_simpson(ys, dx):
         s = (ys[..., 0] + ys[..., -1] + 4.0 * np.sum(ys[..., 1:-1:2], axis=-1)
              + 2.0 * np.sum(ys[..., 2:-2:2], axis=-1))
         return dx / 3.0 * s
+    head = composite_simpson(ys[..., : n - 2], dx)  # n-3 intervals, even
     tail = 3.0 * dx / 8.0 * (ys[..., -4] + 3.0 * ys[..., -3]
                              + 3.0 * ys[..., -2] + ys[..., -1])
-    if n == 3:
-        return tail
-    return composite_simpson(ys[..., : n - 2], dx) + tail  # n-3 even, first
+    return head + tail
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):

@@ -203,11 +203,10 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     sup_norm = np.empty(n_steps + 1)
     l2_norm = np.empty(n_steps + 1)
     # one block's work arrays, reused by every flush: the output steps' modal
-    # states, the transform's input and output, the field and its squares
+    # states, the transform's input, the field and its squares
     rows = min(max(1, _BLOCK_VALUES // max(period, N)), n_steps + 1)
     block = np.empty((rows, N))
     buf = np.empty((rows, period))
-    spec = np.empty((rows, config.x_points), dtype=complex)
     u = np.empty((rows, config.x_points))
     work = np.empty((rows, config.x_points))
     lift_shape = 1.0 - xs
@@ -243,44 +242,43 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
         for lo in range(0, N + 1, period):  # modes lo .. lo + 2M - 1
             first, hi = max(lo, 1), min(lo + period, N + 1)
             buf[:k, first - lo:hi - lo] += coef[:, first - 1:hi - 1]
-        field = np.multiply(
-            np.fft.rfft(buf[:k], axis=-1, out=spec[:k]).imag, -SQRT2,
-            out=u[:k])
-        field += np.multiply(dval, lift_shape, out=work[:k])
-        sup_norm[span] = np.abs(field, out=work[:k]).max(axis=1)
-        l2_norm[span] = np.sqrt(composite_simpson(
-            np.multiply(field, field, out=work[:k]), dx))
+        # a state too large for the field overflows here; refused after the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = np.multiply(np.fft.rfft(buf[:k], axis=-1).imag, -SQRT2,
+                                out=u[:k])
+            field += np.multiply(dval, lift_shape, out=work[:k])
+            sup_norm[span] = np.abs(field, out=work[:k]).max(axis=1)
+            l2_norm[span] = np.sqrt(composite_simpson(
+                np.multiply(field, field, out=work[:k]), dx))
         done += k
         filled = 0
 
     t = 0.0
-    # a state too large for the field overflows there; refused after the run
-    with np.errstate(over="ignore", invalid="ignore"):
+    measure(t)
+    # the last segment's end time and particular values; a sinusoid segment
+    # that starts at that same float time reuses them as its start
+    end_t, end = None, None
+    for _ in range(n_steps):
+        t_next = t + config.dt_output
+        seg_start = t
+        for brk in _segment_breaks(d, t, t_next) + (t_next,):
+            dt = brk - seg_start
+            if dt <= 0.0:
+                continue
+            (yp0, vp0), (yp1, vp1) = _particular_arrays(
+                table, params.sigma, H, d, seg_start, seg_start + dt,
+                start=end if end_t == seg_start else None)
+            end_t, end = seg_start + dt, (yp1, vp1)
+            p00, p01, p10, p11 = propagator(dt)
+            zy = y - yp0
+            zv = v - vp0
+            y = p00 * zy + p01 * zv + yp1
+            v = p10 * zy + p11 * zv + vp1
+            seg_start = seg_start + dt
+        t = t_next
         measure(t)
-        # the last segment's end time and particular values; a sinusoid
-        # segment that starts at that same float time reuses them as its start
-        end_t, end = None, None
-        for _ in range(n_steps):
-            t_next = t + config.dt_output
-            seg_start = t
-            for brk in _segment_breaks(d, t, t_next) + (t_next,):
-                dt = brk - seg_start
-                if dt <= 0.0:
-                    continue
-                (yp0, vp0), (yp1, vp1) = _particular_arrays(
-                    table, params.sigma, H, d, seg_start, seg_start + dt,
-                    start=end if end_t == seg_start else None)
-                end_t, end = seg_start + dt, (yp1, vp1)
-                p00, p01, p10, p11 = propagator(dt)
-                zy = y - yp0
-                zv = v - vp0
-                y = p00 * zy + p01 * zv + yp1
-                v = p10 * zy + p11 * zv + vp1
-                seg_start = seg_start + dt
-            t = t_next
-            measure(t)
-        if filled:
-            flush()
+    if filled:
+        flush()
 
     if not (np.isfinite(sup_norm).all() and np.isfinite(l2_norm).all()):
         raise _not_finite(params, "the field overflows")

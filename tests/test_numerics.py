@@ -83,10 +83,6 @@ class TestCompositeSimpson:
         with pytest.raises(ValueError):
             composite_simpson(np.float64(1.0), 0.1)
 
-    def test_three_intervals_use_the_three_eighths_rule_alone(self):
-        # exact on cubics: x^3 on [0, 3] integrates to 81/4
-        assert composite_simpson(np.array([0.0, 1.0, 8.0, 27.0]), 1.0) == 20.25
-
     @pytest.mark.parametrize("samples", [*range(2, 13), 1024])
     def test_rows_match_one_dimensional_calls_bit_for_bit(self, samples):
         # integrates along the last axis; each row is its own 1-D integral
@@ -94,6 +90,11 @@ class TestCompositeSimpson:
         ys = rng.normal(size=(2, 7, samples)) * rng.uniform(
             0.0, 1e3, size=(2, 7, 1))
         dx = 1.0 / (samples - 1)
+        if samples == 4:  # three intervals are refused, as in 1-D
+            for arr in (ys, ys[0, 0]):
+                with pytest.raises(ValueError):
+                    composite_simpson(arr, dx)
+            return
         got = composite_simpson(ys, dx)
         assert got.shape == (2, 7)
         want = [[composite_simpson(row, dx) for row in plane] for plane in ys]
