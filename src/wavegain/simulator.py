@@ -159,9 +159,10 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     is rebuilt once per block of output steps: one 2-D transform with a row
     per step, one row-wise Simpson sum for the L2 norms. A block has
     max(1, 2^15 // max(2M, n_modes)) rows (16 at the defaults). Its work
-    arrays are allocated once per run and hold about 2^15 doubles (256 KiB)
-    each, or one row when a single row is larger. Every row is bit for bit
-    the field that its step alone gives.
+    arrays (allocated once per run) and the transform's output (one per
+    block) hold about 2^15 doubles (256 KiB) each, or one row when a single
+    row is larger. Every row is bit for bit the field that its step alone
+    gives.
 
     Raises ValueError when initial is malformed or not finite, or when a
     nonzero disturbance leaves no output step at or past the burn-in (e.g.
