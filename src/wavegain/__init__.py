@@ -21,7 +21,6 @@ from .freq_response import (
     sup_gain_at,
 )
 from .gain_bounds import (
-    FrequencySearchConfig,
     GainBounds,
     InternalConsistencyError,
     L2LowerBound,
@@ -53,7 +52,6 @@ __all__ = [
     "DampingParams",
     "DisturbanceSpec",
     "FrequencyPoint",
-    "FrequencySearchConfig",
     "GainBounds",
     "InternalConsistencyError",
     "L2LowerBound",

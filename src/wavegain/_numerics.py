@@ -166,8 +166,8 @@ def composite_simpson(ys, dx):
 
     Handles any sample count >= 2: even interval counts use the 1/3 rule
     throughout; odd interval counts use the 1/3 rule on the first n-3
-    intervals and the 3/8 rule on the last three (or trapezoid when only a
-    single interval exists).
+    intervals and the 3/8 rule on the last three (the 3/8 rule alone for
+    three intervals, trapezoid for a single one).
 
     Integrates along the last axis, so an N-D array gives one integral per
     row, each bit for bit the integral of that row alone.
@@ -184,9 +184,11 @@ def composite_simpson(ys, dx):
         s = (ys[..., 0] + ys[..., -1] + 4.0 * np.sum(ys[..., 1:-1:2], axis=-1)
              + 2.0 * np.sum(ys[..., 2:-2:2], axis=-1))
         return dx / 3.0 * s
-    head = composite_simpson(ys[..., : n - 2], dx)  # n-3 intervals, even
     tail = 3.0 * dx / 8.0 * (ys[..., -4] + 3.0 * ys[..., -3]
                              + 3.0 * ys[..., -2] + ys[..., -1])
+    if n == 3:
+        return tail
+    head = composite_simpson(ys[..., : n - 2], dx)  # n-3 intervals, even
     return head + tail
 
 

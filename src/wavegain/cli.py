@@ -27,8 +27,7 @@ import numpy as np
 
 from .freq_response import (_MAX_GRID_POINTS, DampingParams, sup_gain_at,
                             l2_stats_at)
-from .gain_bounds import (FrequencySearchConfig, InternalConsistencyError,
-                          gain_bounds)
+from .gain_bounds import InternalConsistencyError, gain_bounds
 from .modal import DisturbanceSpec
 from .simulator import SimConfig, simulate
 from . import verify as verify_mod
@@ -159,7 +158,7 @@ def cmd_bode(sigma, mu, omega_min, omega_max, points, scale, out) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(sigma, mu_min, mu_max, points, out, search=None) -> int:
+def cmd_sweep(sigma, mu_min, mu_max, points, out) -> int:
     """Bounds along a mu axis at fixed sigma, as CSV."""
     _check_points(points)
     if not (0.0 <= mu_min < mu_max < math.inf):
@@ -168,10 +167,9 @@ def cmd_sweep(sigma, mu_min, mu_max, points, out, search=None) -> int:
     step = (mu_max - mu_min) / (points - 1)
     mus = [mu_min + i * step for i in range(points)]
     mus[-1] = mu_max
-    search = search or FrequencySearchConfig()
 
     def row(m):
-        b = gain_bounds(DampingParams(sigma, m), search)
+        b = gain_bounds(DampingParams(sigma, m))
         u_inf = "" if b.U_inf is None else _fmt(b.U_inf)
         return (f"{_fmt(m)},{_fmt(sigma)},{_fmt(b.L_inf)},"
                 f"{int(b.L_inf_conditional)},{u_inf},"

@@ -21,7 +21,6 @@ from .freq_response import DampingParams, l2_stats_at, sup_gain_at
 from .modal import _check_mode_index, _mode_table
 
 __all__ = [
-    "FrequencySearchConfig",
     "SupUpperBoundProblem",
     "ModeConstants",
     "GainBounds",
@@ -63,52 +62,15 @@ def _feasible(params: DampingParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# frequency search configuration
+# frequency search constants
 # ---------------------------------------------------------------------------
 
-# Fixed search constants; FrequencySearchConfig says what each one sets.
+# Fixed search constants; _spike_search says what each one sets.
 OMEGA_MIN = 1e-3
+BASE_POINTS = 256
 WINDOW_HALF_WIDTH = 0.5
 REFINE_TOL = 1e-8
 STALE_WINDOWS = 5
-
-
-@dataclass(frozen=True)
-class FrequencySearchConfig:
-    """Search strategy for maximizing a gain curve over omega.
-
-    The curve is sampled on a logarithmic grid of base_points over
-    [OMEGA_MIN, omega_max] plus dense linear windows of half-width
-    WINDOW_HALF_WIDTH around each multiple of pi (the resonant spikes sit
-    near those). All grid-local maxima of a scan are refined together to
-    REFINE_TOL by refine_local_maxima's zoom: one call per pass on 16 points
-    of every open bracket, each pass shrinking a bracket to 2/17 of its
-    width, so a bracket W wide closes after at most
-    ceil(log(W/REFINE_TOL) / log(17/2)) passes (7 or 8 in a window). A
-    maximum at either end of a scan is refined only when one probe
-    REFINE_TOL inside that end, made in the first pass, shows the curve
-    rising there. Window scanning stops after STALE_WINDOWS (five) windows
-    in a row that do not raise the best.
-
-    omega_max = None resolves to max(20*pi, 4/sigma).
-    """
-
-    omega_max: Optional[float] = None
-    base_points: int = 256
-
-    def __post_init__(self):
-        if self.omega_max is not None and not (
-                math.isfinite(self.omega_max) and self.omega_max > OMEGA_MIN):
-            raise ValueError(
-                f"omega_max must be finite and exceed omega_min={OMEGA_MIN}, "
-                f"got {self.omega_max!r}")
-        if self.base_points < 2:
-            raise ValueError("base_points must be at least 2")
-
-    def resolved_omega_max(self, sigma: float) -> float:
-        if self.omega_max is not None:
-            return self.omega_max
-        return max(20.0 * math.pi, 4.0 / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +153,22 @@ def _window_point_count(delta: float) -> int:
     return count + 1 if count % 2 == 0 else count
 
 
-def _spike_search(params, search, evaluate, limit_value):
+def _spike_search(params, evaluate, limit_value):
     """Maximize a gain curve: log base grid + windows at multiples of pi.
 
-    evaluate(params, omega) takes a 1-D array of frequencies and returns
-    their values. One call gives a scan's values; then refine_local_maxima
-    zooms on all grid maxima of the scan together, one call per pass on 16
-    points of every open bracket. A scan whose widest bracket (two grid
-    cells around a maximum, one at an end) is W wide thus costs at most
-    1 + ceil(log(W/REFINE_TOL) / log(17/2)) calls, plus one pass when an
-    end-of-scan probe opens a bracket.
+    The curve is sampled on a logarithmic grid of BASE_POINTS (256) over
+    [OMEGA_MIN, max(20*pi, 4/sigma)], then on dense linear windows of
+    half-width WINDOW_HALF_WIDTH around each multiple of pi in that range
+    (the resonant spikes sit near those). evaluate(params, omega) takes a
+    1-D array of frequencies and returns their values. One call gives a
+    scan's values; then refine_local_maxima zooms on all grid maxima of the
+    scan together to REFINE_TOL, one call per pass on 16 points of every
+    open bracket, each pass shrinking a bracket to 2/17 of its width. A
+    scan whose widest bracket (two grid cells around a maximum, one at an
+    end) is W wide thus costs at most 1 + ceil(log(W/REFINE_TOL) /
+    log(17/2)) calls (7 or 8 passes in a window), plus one pass when an
+    end-of-scan probe, made REFINE_TOL inside that end, shows the curve
+    rising there and opens a bracket.
 
     Returns (best_value, best_omega); best_omega = 0.0 marks the omega -> 0
     limit candidate, which is seeded first so exact ties resolve to it.
@@ -210,7 +178,7 @@ def _spike_search(params, search, evaluate, limit_value):
     strict test that accepts a candidate; on a curve that never rises above
     its omega -> 0 limit that is the first five windows.
     """
-    hi = search.resolved_omega_max(params.sigma)
+    hi = max(20.0 * math.pi, 4.0 / params.sigma)
     if not math.isfinite(hi):
         raise ValueError(
             f"sigma={params.sigma!r} is too small: the search range "
@@ -232,7 +200,7 @@ def _spike_search(params, search, evaluate, limit_value):
     # NaN gains past omega ~ 1.3e154 are never a maximum; a rate overflows to
     # -inf past mu ~ 2.7e154, which gives a window the full 513 points
     with np.errstate(over="ignore", invalid="ignore"):
-        scan(np.geomspace(OMEGA_MIN, hi, search.base_points))
+        scan(np.geomspace(OMEGA_MIN, hi, BASE_POINTS))
         stale = 0
         for n in range(1, math.ceil(hi / math.pi) + 1):
             center = n * math.pi
@@ -272,30 +240,25 @@ class L2LowerBound(NamedTuple):
     argmax_omega: float
 
 
-def lower_sup(params: DampingParams,
-              search: Optional[FrequencySearchConfig] = None) -> SupLowerBound:
+def lower_sup(params: DampingParams) -> SupLowerBound:
     """Lower bound L_inf: the largest per-frequency sup gain found.
 
-    Spike-aware search (see FrequencySearchConfig); the omega -> 0 limit
-    value 1 is always a candidate, so L_inf >= 1 up to rounding.
+    Spike-aware search (see _spike_search); the omega -> 0 limit value 1 is
+    always a candidate, so L_inf >= 1 up to rounding.
     """
-    search = search or FrequencySearchConfig()
-    value, argmax = _spike_search(
-        params, search, sup_gain_at, limit_value=1.0)
+    value, argmax = _spike_search(params, sup_gain_at, limit_value=1.0)
     return SupLowerBound(value=value, argmax_omega=argmax,
                          conditional=not _feasible(params))
 
 
-def lower_l2(params: DampingParams,
-             search: Optional[FrequencySearchConfig] = None) -> L2LowerBound:
+def lower_l2(params: DampingParams) -> L2LowerBound:
     """Lower bound L_2: the largest per-frequency L2 gain found.
 
     Same search strategy as lower_sup; the omega -> 0 limit value 1/sqrt(3)
     is always a candidate.
     """
-    search = search or FrequencySearchConfig()
     value, argmax = _spike_search(
-        params, search, lambda p, w: l2_stats_at(p, w).Q,
+        params, lambda p, w: l2_stats_at(p, w).Q,
         limit_value=INV_SQRT3)
     return L2LowerBound(value=value, argmax_omega=argmax)
 
@@ -645,20 +608,18 @@ class GainBounds:
     argmax_omega_l2: float
 
 
-def gain_bounds(params: DampingParams,
-                search: Optional[FrequencySearchConfig] = None) -> GainBounds:
+def gain_bounds(params: DampingParams) -> GainBounds:
     """All four gain bounds, cross-checked against each other.
 
     Raises InternalConsistencyError if any ordering that must hold
     mathematically (lower <= upper, L_2 <= L_inf, limit floors) fails
     beyond rounding slack.
     """
-    search = search or FrequencySearchConfig()
     # the closed-form bounds refuse what they cannot compute before a search
     u_2 = upper_l2(params)
     u_inf = upper_sup(params)
-    l_inf = lower_sup(params, search)
-    l_2 = lower_l2(params, search)
+    l_inf = lower_sup(params)
+    l_2 = lower_l2(params)
 
     checks = [
         (l_2.value <= u_2 + 1e-9, f"L_2={l_2.value} exceeds U_2={float(u_2)}"),

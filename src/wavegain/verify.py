@@ -209,10 +209,9 @@ def _suite_orderings(rng, quick):
     count = 6 if quick else 24
     sigmas = 10.0 ** rng.uniform(-0.9, 0.5, count)
     mus = np.where(rng.random(count) < 0.2, 0.0, rng.uniform(0.0, 4.0, count))
-    search = gb.FrequencySearchConfig(base_points=96, omega_max=26.0)
     worst = 0.0
     for sg, m in zip(sigmas, mus):
-        b = gb.gain_bounds(fr.DampingParams(float(sg), float(m)), search)
+        b = gb.gain_bounds(fr.DampingParams(float(sg), float(m)))
         worst = max(worst, b.L_2 - float(b.U_2), b.L_2 - b.L_inf,
                     (gb.INV_SQRT3 - 1e-6) - b.L_2, 1.0 - 1e-9 - b.L_inf)
         if b.U_inf is not None:

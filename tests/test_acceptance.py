@@ -16,9 +16,8 @@ import pytest
 from wavegain import cli
 from wavegain.freq_response import (DampingParams, amplitude_at, l2_stats_at,
                                     polar_params, profile_at, sup_gain_at)
-from wavegain.gain_bounds import (FrequencySearchConfig, gain_bounds,
-                                  lower_l2, lower_sup, mode_constants,
-                                  upper_l2, upper_sup)
+from wavegain.gain_bounds import (gain_bounds, lower_l2, lower_sup,
+                                  mode_constants, upper_l2, upper_sup)
 from wavegain.modal import DisturbanceSpec, modal_kernel_l1
 from wavegain.simulator import SimConfig, simulate
 
@@ -178,12 +177,10 @@ def test_bound_orderings_and_limits_across_parameter_grid(tmp_path):
     zero-frequency floors; the mu-sweep CSVs for sigma in {1, 0.5} emit
     ascending-mu rows with nonnegative grey-area widths. Budget 5 min."""
     t0 = time.perf_counter()
-    cfg = FrequencySearchConfig(base_points=128, omega_max=30.0)
 
     for sigma in np.geomspace(0.15, 3.0, 20):
         for mu in np.linspace(0.0, 4.0, 20):
-            b = gain_bounds(DampingParams(float(sigma), float(mu)),
-                            search=cfg)
+            b = gain_bounds(DampingParams(float(sigma), float(mu)))
             assert b.L_2 <= float(b.U_2) + 1e-9
             assert b.L_2 <= b.L_inf + 1e-9
             if b.U_inf is not None:
@@ -193,8 +190,7 @@ def test_bound_orderings_and_limits_across_parameter_grid(tmp_path):
 
     for sigma in (1.0, 0.5):
         out = tmp_path / f"sweep_{sigma}.csv"
-        assert cli.cmd_sweep(sigma, 0.0, 4.0, 21, str(out),
-                             search=cfg) == 0
+        assert cli.cmd_sweep(sigma, 0.0, 4.0, 21, str(out)) == 0
         rows = [line.split(",")
                 for line in out.read_text().splitlines()[1:]]
         mus = [float(r[0]) for r in rows]

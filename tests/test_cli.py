@@ -61,7 +61,7 @@ class TestBounds:
         assert "Traceback" not in err
 
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
-        def broken(params, search=None):
+        def broken(params):
             raise InternalConsistencyError("L_2=2 exceeds U_2=1")
 
         monkeypatch.setattr(cli, "gain_bounds", broken)

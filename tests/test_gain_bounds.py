@@ -5,7 +5,6 @@ quadrature routes in oracles.py; mode amplification constants additionally
 against 25-digit quadrature of the forcing kernels.
 """
 
-import dataclasses
 import importlib
 import math
 import time
@@ -19,8 +18,9 @@ import oracles as oc
 from wavegain._numerics import grid_local_maxima, refine_local_maxima
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.gain_bounds import (
+    BASE_POINTS,
+    OMEGA_MIN,
     ZETA2,
-    FrequencySearchConfig,
     InternalConsistencyError,
     SupUpperBoundProblem,
     U2Value,
@@ -368,19 +368,6 @@ class TestLowerBounds:
         # peak profile is a half sine there, so the two norms differ by sqrt2
         assert r.value / r2.value == pytest.approx(math.sqrt(2.0), rel=1e-3)
 
-    def test_search_config_validation(self):
-        with pytest.raises(ValueError):
-            FrequencySearchConfig(omega_max=1e-4)  # below the fixed omega_min
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="omega_max"):
-                FrequencySearchConfig(omega_max=bad)
-        with pytest.raises(ValueError):
-            FrequencySearchConfig(base_points=1)
-
-    def test_search_config_fields(self):
-        assert [f.name for f in dataclasses.fields(FrequencySearchConfig)] \
-            == ["omega_max", "base_points"]
-
     def test_flat_curve_stops_after_five_windows(self, monkeypatch):
         # at sigma = 1, mu = 0 the sup gain stays at its omega -> 0 limit 1:
         # the base grid, then five windows that do not raise the best
@@ -395,12 +382,6 @@ class TestLowerBounds:
         assert lower_sup(DampingParams(1.0, 0.0))[:2] == (1.0, 0.0)
         assert len(calls) <= 1 + 5
 
-    def test_search_range_override(self):
-        # limit value is still a valid lower bound with a tiny range
-        search = FrequencySearchConfig(omega_max=1.0, base_points=16)
-        r = lower_l2(DampingParams(1.0, 1.0), search)
-        assert r.value >= INV_SQRT3 - 1e-12
-
     def test_infinite_search_range_is_refused(self):
         # 4/sigma overflows; gain_bounds refuses such sigma earlier, by the
         # U_2 term budget, so only the searches called directly reach this
@@ -408,22 +389,36 @@ class TestLowerBounds:
             with pytest.raises(ValueError, match="search range"):
                 search(DampingParams(5e-324, 0.0))
 
-    def test_resolved_omega_max(self):
-        cfg = FrequencySearchConfig()
-        assert cfg.resolved_omega_max(1.0) == pytest.approx(20.0 * math.pi)
-        assert cfg.resolved_omega_max(1e-4) == pytest.approx(4.0 / 1e-4)
-        cfg = FrequencySearchConfig(omega_max=7.0)
-        assert cfg.resolved_omega_max(1e-4) == 7.0
+    def test_resolved_omega_max(self, monkeypatch):
+        # the first scan is the log base grid of 256 points over
+        # [1e-3, omega_max], omega_max resolved to max(20 pi, 4/sigma)
+        scans = []
+
+        def recording(f, xs, fs, tol):
+            scans.append(np.array(xs))
+            return refine_local_maxima(f, xs, fs, tol=tol)
+
+        module = importlib.import_module("wavegain.gain_bounds")
+        monkeypatch.setattr(module, "refine_local_maxima", recording)
+        assert (OMEGA_MIN, BASE_POINTS) == (1e-3, 256)
+        for sigma, omega_max in [(1.0, 20.0 * math.pi), (0.01, 4.0 / 0.01)]:
+            scans.clear()
+            lower_sup(DampingParams(sigma, 1.0))
+            base = scans[0]
+            assert len(base) == 256
+            assert base[0] == pytest.approx(1e-3, rel=1e-12)
+            assert base[-1] == pytest.approx(omega_max, rel=1e-12)
+            assert np.diff(np.log(base)) == pytest.approx(
+                math.log(omega_max / 1e-3) / 255, rel=1e-9)
 
 
 class TestGainBoundsAggregate:
     def test_orderings_random(self):
         rng = np.random.default_rng(31)
-        search = FrequencySearchConfig(base_points=96, omega_max=26.0)
         for _ in range(10):
             sigma = 10.0 ** rng.uniform(-0.7, 0.5)
             mu = rng.uniform(0.0, 4.0)
-            b = gain_bounds(DampingParams(sigma, mu), search)
+            b = gain_bounds(DampingParams(sigma, mu))
             assert b.L_2 <= float(b.U_2) + 1e-9
             assert b.L_2 <= b.L_inf + 1e-9
             if b.U_inf is not None:
@@ -441,8 +436,7 @@ class TestGainBoundsAggregate:
         assert b.params == p
 
     def test_undefined_upper_sup_propagates(self):
-        b = gain_bounds(DampingParams(0.1, 0.0),
-                        FrequencySearchConfig(base_points=64, omega_max=15.0))
+        b = gain_bounds(DampingParams(0.1, 0.0))
         assert b.U_inf is None
         assert b.L_inf_conditional is True
         assert b.L_inf > 2.0  # strong resonance once sigma is this small
@@ -456,9 +450,7 @@ class TestEndpointRefinement:
     when the curve does not rise there, instead of zooming on its cell."""
 
     # acceptance-grid pairs whose L2 curves peak inside the left-end cell of
-    # the first window [pi - 0.5, pi + 0.5]; with base_points=16 that cell
-    # gives the best L_2 of the second pair, which keeping the end unsearched
-    # would lower by 2e-16 and move its argmax by 4e-8
+    # the first window [pi - 0.5, pi + 0.5]
     END_CELL_PEAKS = [(0.17561698705841688, 0.631578947368421),
                       (0.24072270107570087, 0.21052631578947367),
                       (0.28183330319652344, 0.0)]
@@ -467,20 +459,17 @@ class TestEndpointRefinement:
     def test_same_bounds_as_refining_every_maximum(self, monkeypatch):
         # against golden section on every maximum, ends included: never
         # lower beyond rounding, and each value is the curve at its argmax
-        grid = FrequencySearchConfig(base_points=128, omega_max=30.0)
-        coarse = FrequencySearchConfig(base_points=16, omega_max=30.0)
-        cases = ([(p, s) for p in self.END_CELL_PEAKS for s in (grid, coarse)]
-                 + [(p, None) for p in self.DEFAULT_PAIRS])
-        fast = [(lower_sup(DampingParams(*p), s), lower_l2(DampingParams(*p), s))
-                for p, s in cases]
+        cases = self.END_CELL_PEAKS + self.DEFAULT_PAIRS
+        fast = [(lower_sup(DampingParams(*p)), lower_l2(DampingParams(*p)))
+                for p in cases]
         module = importlib.import_module("wavegain.gain_bounds")
         monkeypatch.setattr(module, "refine_local_maxima",
                             oc.refine_every_maximum)
-        for (p, s), (sup, l2) in zip(cases, fast):
+        for p, (sup, l2) in zip(cases, fast):
             params = DampingParams(*p)
             for got, oracle, curve, limit in [
-                    (sup, lower_sup(params, s), sup_gain_at, 1.0),
-                    (l2, lower_l2(params, s),
+                    (sup, lower_sup(params), sup_gain_at, 1.0),
+                    (l2, lower_l2(params),
                      lambda q, w: l2_stats_at(q, w).Q, INV_SQRT3)]:
                 assert got.value >= oracle.value * (1.0 - 2e-15), p
                 at = (curve(params, got.argmax_omega) if got.argmax_omega
