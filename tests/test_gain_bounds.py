@@ -18,8 +18,6 @@ import oracles as oc
 from wavegain._numerics import grid_local_maxima, refine_local_maxima
 from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.gain_bounds import (
-    BASE_POINTS,
-    OMEGA_MIN,
     ZETA2,
     InternalConsistencyError,
     SupUpperBoundProblem,
@@ -400,7 +398,6 @@ class TestLowerBounds:
 
         module = importlib.import_module("wavegain.gain_bounds")
         monkeypatch.setattr(module, "refine_local_maxima", recording)
-        assert (OMEGA_MIN, BASE_POINTS) == (1e-3, 256)
         for sigma, omega_max in [(1.0, 20.0 * math.pi), (0.01, 4.0 / 0.01)]:
             scans.clear()
             lower_sup(DampingParams(sigma, 1.0))
