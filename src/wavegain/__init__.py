@@ -23,10 +23,8 @@ from .freq_response import (
 from .gain_bounds import (
     GainBounds,
     InternalConsistencyError,
-    L2LowerBound,
+    LowerBound,
     ModeConstants,
-    SupLowerBound,
-    SupUpperBoundProblem,
     U2Value,
     gain_bounds,
     lower_l2,
@@ -54,15 +52,13 @@ __all__ = [
     "FrequencyPoint",
     "GainBounds",
     "InternalConsistencyError",
-    "L2LowerBound",
     "L2ResponseStats",
+    "LowerBound",
     "ModeConstants",
     "SUITE_NAMES",
     "SimConfig",
     "SimResult",
     "SuiteResult",
-    "SupLowerBound",
-    "SupUpperBoundProblem",
     "U2Value",
     "amplitude_at",
     "gain_bounds",

@@ -21,12 +21,10 @@ from .freq_response import DampingParams, l2_stats_at, sup_gain_at
 from .modal import _check_mode_index, _mode_table
 
 __all__ = [
-    "SupUpperBoundProblem",
     "ModeConstants",
     "GainBounds",
     "U2Value",
-    "SupLowerBound",
-    "L2LowerBound",
+    "LowerBound",
     "InternalConsistencyError",
     "upper_sup",
     "lower_sup",
@@ -77,64 +75,44 @@ STALE_WINDOWS = 5
 # U_inf: closed 1-D minimization over the root angle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupUpperBoundProblem:
-    """The 1-D problem whose infimum is the sup-gain upper bound.
+def _theta_objective(s: float, theta: np.ndarray) -> np.ndarray:
+    """f(theta) = 1 / (sin(theta) * (1 - |s|/(s + (pi-theta)^2))).
 
-    s is the shifted damping parameter (mu*sigma - 1)/sigma^2; the objective
-    f(theta) = 1 / (sin(theta) * (1 - |s|/(s + (pi-theta)^2)))
-    is finite and positive on (0, theta_max) and blows up at both ends.
-    Constructible only in the feasible regime (theta_max > 0).
+    s is the shifted damping parameter (mu*sigma - 1)/sigma^2; f is finite
+    and positive on (0, pi - sqrt(max(0, -2s))) and blows up at both ends.
     """
-
-    s: float
-    theta_max: float
-
-    @classmethod
-    def from_params(cls, params: DampingParams) -> Optional["SupUpperBoundProblem"]:
-        if not _feasible(params):
-            return None
-        sig2 = params.sigma ** 2
-        excess = params.mu * params.sigma - 1.0
-        # sigma^2 underflows to 0 only where mu*sigma >= 1: there s = +inf,
-        # or 0 at mu*sigma = 1
-        s = excess / sig2 if sig2 else (math.inf if excess else 0.0)
-        theta_max = math.pi - math.sqrt(max(0.0, -2.0 * s))  # pi if s >= 0
-        return cls(s=s, theta_max=theta_max)
-
-    def objective(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        gap = math.pi - theta
-        denom = self.s + gap * gap
-        # 1 - |s|/denom without cancellation: numerator is gap^2 for s >= 0,
-        # 2s + gap^2 for s < 0
-        if self.s >= 0.0:
-            frac = gap * gap / denom
-        else:
-            frac = (2.0 * self.s + gap * gap) / denom
-        out = 1.0 / (np.sin(theta) * frac)
-        return float(out) if out.ndim == 0 else out
+    gap = math.pi - theta
+    # 1 - |s|/(s + gap^2) without cancellation: numerator is gap^2 for
+    # s >= 0, 2s + gap^2 for s < 0
+    num = gap * gap if s >= 0.0 else 2.0 * s + gap * gap
+    return 1.0 / (np.sin(theta) * (num / (s + gap * gap)))
 
 
 def upper_sup(params: DampingParams) -> Optional[float]:
     """Upper bound U_inf for the asymptotic sup-norm gain, or None.
 
     None when 2 < 2*mu*sigma + sigma^2*pi^2 fails (no finite bound is
-    established there). Otherwise the infimum of the 1-D objective, located
-    on a 4096-point grid and polished to 1e-10 in theta by the same zoom as
-    the frequency search (refine_local_maxima on its negative: about eight
-    passes of 16 points per grid minimum).
+    established there); this is the one place that decides the regime.
+    Otherwise the infimum of _theta_objective, located on a 4096-point grid
+    and polished to 1e-10 in theta by the same zoom as the frequency search
+    (refine_local_maxima on its negative: about eight passes of 16 points
+    per grid minimum).
     The result is clamped below at 1 (the gain itself never drops below 1).
     An infimum past the float range raises ValueError naming sigma and mu.
     """
-    problem = SupUpperBoundProblem.from_params(params)
-    if problem is None:
+    if not _feasible(params):
         return None
-    thetas = np.linspace(0.0, problem.theta_max, 4098)[1:-1]
+    sig2 = params.sigma ** 2
+    excess = params.mu * params.sigma - 1.0
+    # sigma^2 underflows to 0 only where mu*sigma >= 1: there s = +inf,
+    # or 0 at mu*sigma = 1
+    s = excess / sig2 if sig2 else (math.inf if excess else 0.0)
+    theta_max = math.pi - math.sqrt(max(0.0, -2.0 * s))  # pi if s >= 0
+    thetas = np.linspace(0.0, theta_max, 4098)[1:-1]
     with np.errstate(over="ignore", divide="ignore"):  # inf: refused below
-        vals = problem.objective(thetas)
+        vals = _theta_objective(s, thetas)
         _, neg_best = refine_local_maxima(
-            lambda t: -problem.objective(t), thetas, -vals, tol=1e-10)
+            lambda t: -_theta_objective(s, t), thetas, -vals, tol=1e-10)
     if neg_best == -math.inf:
         raise ValueError(f"sigma={params.sigma!r}, mu={params.mu!r}: U_inf "
                          f"is past the float range")
@@ -218,49 +196,36 @@ def _spike_search(params, evaluate, limit_value):
     return best_v, best_w
 
 
-class SupLowerBound(NamedTuple):
-    """Lower bound for the sup-norm gain and where it was attained.
+class LowerBound(NamedTuple):
+    """A lower bound on a gain and the frequency where it was attained.
 
-    conditional is True when the finite-gain regime is not established, in
-    which case the value bounds the gain only if the gain is finite at all.
     argmax_omega = 0.0 marks the omega -> 0 limit. It is fixed only to the
     curve's rounding plateau at its maximum: ulp-level changes in
-    sup_gain_at moved it by 5.2e-8 at (sigma, mu) = (0.01, 2.0).
+    sup_gain_at moved L_inf's by 5.2e-8 at (sigma, mu) = (0.01, 2.0).
     """
 
     value: float
     argmax_omega: float
-    conditional: bool
 
 
-class L2LowerBound(NamedTuple):
-    """Lower bound for the L2 gain and the maximizing frequency (0.0 = limit)."""
-
-    value: float
-    argmax_omega: float
-
-
-def lower_sup(params: DampingParams) -> SupLowerBound:
+def lower_sup(params: DampingParams) -> LowerBound:
     """Lower bound L_inf: the largest per-frequency sup gain found.
 
     Spike-aware search (see _spike_search); the omega -> 0 limit value 1 is
-    always a candidate, so L_inf >= 1 up to rounding.
+    always a candidate, so L_inf >= 1 up to rounding. Where upper_sup is
+    None it bounds the gain only if the gain is finite at all.
     """
-    value, argmax = _spike_search(params, sup_gain_at, limit_value=1.0)
-    return SupLowerBound(value=value, argmax_omega=argmax,
-                         conditional=not _feasible(params))
+    return LowerBound(*_spike_search(params, sup_gain_at, limit_value=1.0))
 
 
-def lower_l2(params: DampingParams) -> L2LowerBound:
+def lower_l2(params: DampingParams) -> LowerBound:
     """Lower bound L_2: the largest per-frequency L2 gain found.
 
     Same search strategy as lower_sup; the omega -> 0 limit value 1/sqrt(3)
     is always a candidate.
     """
-    value, argmax = _spike_search(
-        params, lambda p, w: l2_stats_at(p, w).Q,
-        limit_value=INV_SQRT3)
-    return L2LowerBound(value=value, argmax_omega=argmax)
+    return LowerBound(*_spike_search(
+        params, lambda p, w: l2_stats_at(p, w).Q, limit_value=INV_SQRT3))
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +558,23 @@ def upper_l2(params: DampingParams) -> U2Value:
 class GainBounds:
     """The four bounds for one parameter pair, with search diagnostics.
 
-    U_inf is None where no finite sup-gain bound is established; there
-    L_inf_conditional is True. argmax values of 0.0 mark the omega -> 0
-    limit candidates. argmax_omega_sup holds only to a rounding plateau.
+    U_inf is None where no finite sup-gain bound is established. argmax
+    values of 0.0 mark the omega -> 0 limit candidates. argmax_omega_sup
+    holds only to a rounding plateau.
     """
 
     params: DampingParams
     L_inf: float
-    L_inf_conditional: bool
     U_inf: Optional[float]
     L_2: float
     U_2: U2Value
     argmax_omega_sup: float
     argmax_omega_l2: float
+
+    @property
+    def L_inf_conditional(self) -> bool:
+        """True where U_inf is undefined: L_inf bounds only a finite gain."""
+        return self.U_inf is None
 
 
 def gain_bounds(params: DampingParams) -> GainBounds:
@@ -639,8 +608,7 @@ def gain_bounds(params: DampingParams) -> GainBounds:
                 f"gain bound ordering violated for sigma={params.sigma}, "
                 f"mu={params.mu}: {msg}")
 
-    return GainBounds(params=params, L_inf=l_inf.value,
-                      L_inf_conditional=l_inf.conditional, U_inf=u_inf,
+    return GainBounds(params=params, L_inf=l_inf.value, U_inf=u_inf,
                       L_2=l_2.value, U_2=u_2,
                       argmax_omega_sup=l_inf.argmax_omega,
                       argmax_omega_l2=l_2.argmax_omega)

@@ -95,6 +95,8 @@ class DisturbanceSpec:
 
     Construct through the classmethods. Piecewise-linear tables hold the
     first value before the first knot and the last value after the last knot.
+    A constant is the one-knot table ((0, level),); kind and level still
+    name it.
     """
 
     kind: str
@@ -113,7 +115,8 @@ class DisturbanceSpec:
 
     @classmethod
     def constant(cls, level):
-        return cls(kind="constant", level=_finite("constant level", level))
+        level = _finite("constant level", level)
+        return cls(kind="constant", level=level, knots=((0.0, level),))
 
     @classmethod
     def piecewise_linear(cls, knots):
@@ -131,39 +134,28 @@ class DisturbanceSpec:
         t = np.asarray(t, dtype=float)
         if self.kind == "sinusoid":
             out = self.amplitude * np.sin(self.omega * t + self.phase)
-        elif self.kind == "constant":
-            out = np.full_like(t, self.level)
         else:
             ts = np.array([p[0] for p in self.knots])
             ds = np.array([p[1] for p in self.knots])
             out = np.interp(t, ts, ds)
         return float(out) if out.ndim == 0 else out
 
-    def sup_amplitude(self, t_final=None):
-        """sup of |d| over [0, t_final] (analytic for sinusoid/constant)."""
+    def sup_amplitude(self, t_final):
+        """sup of |d| over [0, t_final] (analytic for a sinusoid)."""
         if self.kind == "sinusoid":
             return abs(self.amplitude)
-        if self.kind == "constant":
-            return abs(self.level)
-        hi = math.inf if t_final is None else float(t_final)
-        vals = [abs(self.value(0.0))]
-        vals += [abs(d) for t, d in self.knots if 0.0 <= t <= hi]
-        if t_final is not None:
-            vals.append(abs(self.value(hi)))
-        else:
-            vals.append(abs(self.knots[-1][1]))
+        vals = [abs(self.value(0.0)), abs(self.value(t_final))]
+        vals += [abs(d) for t, d in self.knots if 0.0 <= t <= t_final]
         return max(vals)
 
     def linear_piece(self, t0, t1):
         """(value at t0, slope) when d restricted to [t0, t1] is linear.
 
         Raises ValueError when the restriction is not a single linear piece
-        (a piecewise-linear segment crossing a knot must be subdivided by
-        the caller) or when the kind is a sinusoid.
+        (a segment crossing a knot must be subdivided by the caller) or
+        when the kind is a sinusoid.
         """
-        if self.kind == "constant":
-            return self.level, 0.0
-        if self.kind != "piecewise_linear":
+        if self.kind == "sinusoid":
             raise ValueError(f"{self.kind} forcing is not linear on a step")
         ts = [p[0] for p in self.knots]
         interior = [t for t in ts if t0 < t < t1]
@@ -171,8 +163,8 @@ class DisturbanceSpec:
             raise ValueError(
                 f"step [{t0}, {t1}] crosses knot(s) {interior}; subdivide the step")
         if t1 <= ts[0] or t0 >= ts[-1]:
-            # constant extension outside the table
-            return self.value(t0), 0.0
+            # constant extension outside the table: the first or last value
+            return self.knots[0 if t1 <= ts[0] else -1][1], 0.0
         # locate the piece containing the step
         for (ta, da), (tb, db) in zip(self.knots, self.knots[1:]):
             if ta <= t0 and t1 <= tb:

@@ -41,7 +41,8 @@ class SimConfig:
     Internal stepping is exact per output interval; dt_output only sets how
     often the field is reconstructed and measured. burn_in = None resolves
     to 10 / (smallest modal decay rate), so the reported gains reflect the
-    post-transient regime. At most _MAX_GRID_POINTS (2^20) output steps
+    post-transient regime, capped at half the horizon. At most
+    _MAX_GRID_POINTS (2^20) modes, x points and output steps
     t_final/dt_output: more raise ValueError before anything is allocated.
     """
 
@@ -52,10 +53,10 @@ class SimConfig:
     burn_in: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
-        if self.x_points < 64:
-            raise ValueError("x_points must be at least 64")
+        for name, low in (("n_modes", 1), ("x_points", 64)):
+            if not low <= getattr(self, name) <= _MAX_GRID_POINTS:
+                raise ValueError(f"{name} must lie in [{low}, {_MAX_GRID_POINTS}]"
+                                 f", got {getattr(self, name)}")
         if not (self.t_final > 0.0 and math.isfinite(self.t_final)):
             raise ValueError(f"t_final must be positive, got {self.t_final!r}")
         if not (self.dt_output > 0.0 and math.isfinite(self.dt_output)):
@@ -72,7 +73,10 @@ class SimConfig:
             return self.burn_in
         slowest = float(
             _mode_table(params, np.arange(1, self.n_modes + 1)).rate.min())
-        return min(10.0 / slowest, 0.5 * self.t_final)
+        # k - r cancels to 0 once k >> n pi; the true rate is then tiny, so
+        # the cap binds
+        return min(10.0 / slowest if slowest > 0.0 else math.inf,
+                   0.5 * self.t_final)
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,6 @@ def _tail_estimate(params: DampingParams, d: DisturbanceSpec, n_modes: int) -> f
         scale = abs(d.amplitude) * w * math.hypot(w, params.mu)
         scale /= math.hypot(1.0, params.sigma * w)
         return 2.0 * scale / (math.pi ** 3 * N * N)
-    if d.kind == "constant":
-        return 0.0
     slopes = [abs((d2 - d1) / (t2 - t1))
               for (t1, d1), (t2, d2) in zip(d.knots, d.knots[1:])]
     max_slope = max(slopes, default=0.0)
@@ -138,6 +140,8 @@ def _not_finite(params: DampingParams, cause: str) -> FloatingPointError:
         f"mu={params.mu!r}: {cause}")
 
 
+# inf and NaN from inputs near the float range are refused by checks below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
              initial: Optional[Sequence] = None) -> SimResult:
     """Run the modal simulation and measure the empirical gains.
@@ -174,8 +178,7 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
     N = config.n_modes
     ns = np.arange(1, N + 1, dtype=float)
     # per-mode constants, and for a sinusoid the transfer, are fixed per run
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        table = _mode_table(params, ns)
+    table = _mode_table(params, ns)
     if not np.isfinite(table.disc).all():
         raise _not_finite(params, "the per-mode constants overflow")
     H = _transfer_array(params, ns, d.omega) if d.kind == "sinusoid" else None
@@ -244,13 +247,12 @@ def simulate(params: DampingParams, d: DisturbanceSpec, config: SimConfig,
             first, hi = max(lo, 1), min(lo + period, N + 1)
             buf[:k, first - lo:hi - lo] += coef[:, first - 1:hi - 1]
         # a state too large for the field overflows here; refused after the run
-        with np.errstate(over="ignore", invalid="ignore"):
-            field = np.multiply(np.fft.rfft(buf[:k], axis=-1).imag, -SQRT2,
-                                out=u[:k])
-            field += np.multiply(dval, lift_shape, out=work[:k])
-            sup_norm[span] = np.abs(field, out=work[:k]).max(axis=1)
-            l2_norm[span] = np.sqrt(composite_simpson(
-                np.multiply(field, field, out=work[:k]), dx))
+        field = np.multiply(np.fft.rfft(buf[:k], axis=-1).imag, -SQRT2,
+                            out=u[:k])
+        field += np.multiply(dval, lift_shape, out=work[:k])
+        sup_norm[span] = np.abs(field, out=work[:k]).max(axis=1)
+        l2_norm[span] = np.sqrt(composite_simpson(
+            np.multiply(field, field, out=work[:k]), dx))
         done += k
         filled = 0
 

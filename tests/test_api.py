@@ -10,14 +10,17 @@ REMOVED = {
     "wavegain": ("ModalState", "modal_step", "initial_modal_state",
                  "mode_split", "SteadyStateProfile", "SweepRow",
                  "empirical_gain_sweep", "modal_transfer",
-                 "FrequencySearchConfig"),
+                 "FrequencySearchConfig", "SupUpperBoundProblem",
+                 "SupLowerBound", "L2LowerBound"),
     "wavegain.modal": ("ModalState", "modal_step", "initial_modal_state",
                        "mode_split", "modal_transfer", "_decay_rate_array",
                        "_near_critical"),
     "wavegain.freq_response": ("SteadyStateProfile", "_sup_gain_many",
                                "_l2_gain_many"),
     "wavegain.gain_bounds": ("_l2_gain_one", "_decay_rate_array",
-                             "_near_critical", "FrequencySearchConfig"),
+                             "_near_critical", "FrequencySearchConfig",
+                             "SupUpperBoundProblem", "SupLowerBound",
+                             "L2LowerBound"),
     "wavegain.simulator": ("SweepRow", "empirical_gain_sweep"),
     "wavegain.cli": ("PARALLEL_ENV", "ThreadPoolExecutor"),
 }

@@ -6,10 +6,13 @@ import inspect
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +25,12 @@ from wavegain.modal import DisturbanceSpec
 
 def run_main(*argv):
     return cli.main(list(argv))
+
+
+def limit_memory():
+    """preexec_fn: a 2 GiB address-space limit, so that a regression fails
+    the test instead of exhausting the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestBounds:
@@ -77,11 +86,7 @@ class TestBounds:
 
     def test_sigma_past_the_u2_budget_is_usage_error(self):
         # U_2 would sum 2/(pi sigma) ~ 6e299 explicit terms: refused before
-        # any is summed. The address-space limit turns a regression into a
-        # failure here, not into a run that exhausts the machine's memory.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        # any is summed
         proc = subprocess.run(
             [sys.executable, "-m", "wavegain", "bounds", "--sigma", "1e-300",
              "--mu", "0"], capture_output=True, text=True,
@@ -325,15 +330,30 @@ class TestCleanUsageErrors:
         assert proc.stderr == f"error: {line}\n"
 
 
+# log-uniform over [1e-300, 1e300]
+_WIDE = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _WIDE).map(
+    lambda p: p[0] * p[1])
+
+
+def _knots_option(times, values):
+    pts = zip([0.0, *sorted(times)], values)
+    return ["--knots", ",".join(f"{t!r}:{v!r}" for t, v in pts)]
+
+
+_DISTURBANCES = st.one_of(
+    _WIDE.map(lambda w: ["--omega", repr(w)]),
+    _SIGNED.map(lambda c: [f"--constant={c!r}"]),  # "-1e+16" is no option
+    st.builds(_knots_option, st.lists(_WIDE, min_size=1, max_size=3,
+                                      unique=True),
+              st.lists(st.one_of(st.just(0.0), _SIGNED), min_size=4,
+                       max_size=4)))
+
+
 class TestSimulate:
     def test_output_step_budget_refused_before_allocation(self, tmp_path):
         # 4e8 output steps would allocate about 9.6 GB before stepping; the
-        # 2^20 budget is checked first. The address-space limit turns a
-        # regression into a failure here, not into a run that exhausts the
-        # machine's memory.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+        # 2^20 budget is checked first
         proc = subprocess.run(
             [sys.executable, "-m", "wavegain", "simulate", "--sigma", "1",
              "--mu", "0", "--omega", "1", "--dt-output", "1e-7", "--out",
@@ -344,6 +364,85 @@ class TestSimulate:
                                "1048576 output steps, got 4e+08\n")
         assert proc.stdout == ""
         assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("name, low", [("n_modes", 1), ("x_points", 64)])
+    def test_grid_budget_refused_before_allocation(self, tmp_path, name, low):
+        # 1e8 modes or x points would allocate gigabytes (without a limit the
+        # kernel killed such a run); the 2^20 budget is checked first
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavegain", "simulate", "--sigma", "1",
+             "--mu", "0", "--omega", "3", cli._flag(name), "100000000",
+             "--t-final", "0.01", "--out", str(tmp_path / "sim.csv")],
+            capture_output=True, text=True, preexec_fn=limit_memory,
+            timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {name} must lie in [{low}, 1048576], "
+                               f"got 100000000\n")
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("params", [
+        ["--sigma", "1e8", "--mu", "0", "--omega", "1"],
+        ["--sigma", "1", "--mu", "1e9", "--constant", "1"]],
+        ids=["sigma", "mu"])
+    def test_heavy_damping_takes_the_burn_in_cap(self, tmp_path, capsys,
+                                                 params):
+        # the slowest decay rate k - r cancels to exactly 0 here (its true
+        # value (n pi)^2/(k + r) is about 1e-8), so the default burn-in is
+        # the cap, half the horizon
+        out = tmp_path / "sim.csv"
+        assert run_main("simulate", *params, "--t-final", "0.1",
+                        "--n-modes", "8", "--x-points", "64",
+                        "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        side = json.loads((tmp_path / "sim.json").read_text())
+        assert side["burn_in"] == 0.05
+        assert math.isfinite(side["empirical_gain_sup"])
+        assert math.isfinite(side["empirical_gain_l2"])
+
+    @settings(max_examples=100)
+    @example(1.0, 0.0, ["--omega", "3"], (1e300, 1e299), 8)
+    @example(5.465911339641237e+97, 951658759707777.5,
+             ["--knots", "0:0,1.4203144183581932e-232:1,"
+                         "3.653447139756325e+300:-1"],
+             (2.082082852511087e-14, 2.082082852511087e-14), 7)
+    @example(1.4138638121903778e-230, 3.4117018656435816e-296,
+             ["--omega", "6.385998051040758e+136"],
+             (2.2854676575474298e+254, 2.28546765754743e+253), 7)
+    @example(6.974348480708087e+39, 0.0, ["--omega", "5.025626255475429e+287"],
+             (3.274445510502889e-238, 1.6372227552514444e-238), 7)
+    @given(_WIDE, st.one_of(st.just(0.0), _WIDE), _DISTURBANCES,
+           st.tuples(_WIDE, st.floats(1.0, 100.0)).map(
+               lambda p: (p[0], p[0] / p[1])),
+           st.integers(1, 8))
+    def test_float_range_inputs_exit_0_or_2_cleanly(self, sigma, mu,
+                                                     disturbance, horizon,
+                                                     n_modes):
+        # inputs anywhere in the float range either give finite rows with
+        # nothing on stderr, or are refused with one line and no CSV; a
+        # numpy warning fails the run
+        t_final, dt_output = horizon
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = os.path.join(tmp, "sim.csv")
+            with contextlib.redirect_stderr(err):
+                code = run_main(
+                    "simulate", "--sigma", repr(sigma), "--mu", repr(mu),
+                    *disturbance, "--t-final", repr(t_final), "--dt-output",
+                    repr(dt_output), "--n-modes", str(n_modes),
+                    "--x-points", "64", "--out", out)
+            if code == 0:
+                assert err.getvalue() == ""
+                with open(out, encoding="utf-8") as fh:
+                    rows = fh.read().splitlines()[1:]
+                assert rows and all(math.isfinite(float(v))
+                                    for row in rows for v in row.split(","))
+            else:
+                assert code == 2
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert os.listdir(tmp) == []
 
     def test_sinusoid_with_sidecar(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -20,11 +20,11 @@ from wavegain.freq_response import DampingParams, l2_stats_at, sup_gain_at
 from wavegain.gain_bounds import (
     ZETA2,
     InternalConsistencyError,
-    SupUpperBoundProblem,
     U2Value,
     _amplification_array,
     _tail_conditions,
     _tail_convex_from,
+    _theta_objective,
     gain_bounds,
     lower_l2,
     lower_sup,
@@ -50,10 +50,10 @@ class TestSupUpperBound:
     def test_unit_damping_product_where_sigma_squared_underflows(self):
         # mu sigma = 1 exactly, sigma^2 = 2^-1200 underflows to 0: the regime
         # is still feasible, with s = 0, so the bound and the flag match the
-        # ordinary pair (0.5, 2)
+        # ordinary pair (0.5, 2): at s = 0 the objective is 1/sin(theta)
         tiny = DampingParams(2.0 ** -600, 2.0 ** 600)
         assert tiny.sigma ** 2 == 0.0
-        assert SupUpperBoundProblem.from_params(tiny).s == 0.0
+        assert _theta_objective(0.0, np.array([0.5 * math.pi]))[0] == 1.0
         assert upper_sup(tiny) == upper_sup(DampingParams(0.5, 2.0)) == 1.0
         b = gain_bounds(tiny)
         assert not b.L_inf_conditional
@@ -85,10 +85,11 @@ class TestSupUpperBound:
             upper_sup(DampingParams(sigma, mu))
 
     def test_objective_matches_brute_minimum(self):
-        # the bound is the minimum of the objective over the open interval
-        prob = SupUpperBoundProblem.from_params(DampingParams(1.0, 0.0))
-        thetas = np.linspace(1e-9, prob.theta_max - 1e-9, 300001)
-        brute = float(np.min(prob.objective(thetas)))
+        # the bound is the minimum of the objective over the open interval;
+        # at (1, 0), s = (mu sigma - 1)/sigma^2 = -1 and theta_max = pi - sqrt 2
+        theta_max = math.pi - math.sqrt(2.0)
+        thetas = np.linspace(1e-9, theta_max - 1e-9, 300001)
+        brute = float(np.min(_theta_objective(-1.0, thetas)))
         val = upper_sup(DampingParams(1.0, 0.0))
         assert val <= brute + 1e-12
         assert val == pytest.approx(brute, rel=1e-8)
@@ -327,16 +328,17 @@ class TestLowerBounds:
         r = lower_sup(DampingParams(1.0, 1.0))
         assert r.value == 1.0
         assert r.argmax_omega == 0.0  # attained in the low-frequency limit
-        assert r.conditional is False
+        assert upper_sup(DampingParams(1.0, 1.0)) is not None
 
     def test_sup_flat_for_moderate_kelvin_voigt(self):
         r = lower_sup(DampingParams(1.0, 0.0))
         assert r.value == 1.0
-        assert r.conditional is False
+        assert upper_sup(DampingParams(1.0, 0.0)) is not None
 
     def test_conditional_flag_tracks_feasibility(self):
-        assert lower_sup(DampingParams(0.1, 0.0)).conditional is True
-        assert lower_sup(DampingParams(1.0, 0.0)).conditional is False
+        assert upper_sup(DampingParams(0.1, 0.0)) is None
+        assert gain_bounds(DampingParams(0.1, 0.0)).L_inf_conditional is True
+        assert gain_bounds(DampingParams(1.0, 0.0)).L_inf_conditional is False
 
     def test_l2_limit_case(self):
         r = lower_l2(DampingParams(1.0, 1.0))

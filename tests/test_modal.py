@@ -115,7 +115,7 @@ class TestDisturbanceSpec:
         d = DisturbanceSpec.sinusoid(2.0, 3.0, 0.5)
         assert d.kind == "sinusoid"
         assert d.value(0.1) == pytest.approx(2.0 * math.sin(0.3 + 0.5))
-        assert d.sup_amplitude() == 2.0
+        assert d.sup_amplitude(10.0) == 2.0
 
     def test_sinusoid_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,9 @@ class TestDisturbanceSpec:
 
     def test_constant(self):
         d = DisturbanceSpec.constant(-1.5)
+        assert (d.kind, d.level, d.knots) == ("constant", -1.5, ((0.0, -1.5),))
         assert d.value(0.0) == -1.5 and d.value(100.0) == -1.5
-        assert d.sup_amplitude() == 1.5
+        assert d.sup_amplitude(10.0) == 1.5
 
     def test_piecewise_linear_interpolation_and_clamping(self):
         d = DisturbanceSpec.piecewise_linear([(0.0, 0.0), (2.0, 1.0),
@@ -138,7 +139,7 @@ class TestDisturbanceSpec:
         # held at the end levels outside the knot range
         assert d.value(-5.0) == 0.0
         assert d.value(10.0) == -1.0
-        assert d.sup_amplitude() == 1.0
+        assert d.sup_amplitude(10.0) == 1.0
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
